@@ -190,30 +190,27 @@ let print_smp_row r =
     r.S.r_lock_contended
     (float_of_int r.S.r_lock_wait_ns /. 1e6)
 
-let run_smp ?(cpu_counts = [ 1; 2; 4; 8 ]) ?(pair_counts = [ 1; 2; 4; 8 ])
-    ?(bytes_per_pair = 1_000_000) () =
-  section "SMP scaling (AN1, concurrent bulk pairs, per-CPU pinning)";
-  let module S = Uln_workload.Smp in
-  let configs =
+(* The full SMP sweep: every organization (and both in-kernel locking
+   disciplines) at 1-8 CPUs x 1-8 pairs. *)
+let smp_rows () =
+  List.concat_map
+    (fun (org, locking) ->
+      List.concat_map
+        (fun cpus ->
+          List.map
+            (fun pairs ->
+              Uln_workload.Smp.run ~bytes_per_pair:1_000_000 ~locking ~org ~cpus ~pairs ())
+            [ 1; 2; 4; 8 ])
+        [ 1; 2; 4; 8 ])
     [ (Uln_core.Organization.User_library, `Big_lock);
       (Uln_core.Organization.Single_server `Mapped, `Big_lock);
       (Uln_core.Organization.In_kernel, `Big_lock);
       (Uln_core.Organization.In_kernel, `Per_conn) ]
-  in
-  let rows =
-    List.concat_map
-      (fun (org, locking) ->
-        List.concat_map
-          (fun cpus ->
-            List.map
-              (fun pairs ->
-                let r = S.run ~bytes_per_pair ~locking ~org ~cpus ~pairs () in
-                print_smp_row r;
-                r)
-              pair_counts)
-          cpu_counts)
-      configs
-  in
+
+let run_smp () =
+  section "SMP scaling (AN1, concurrent bulk pairs, per-CPU pinning)";
+  let rows = smp_rows () in
+  List.iter print_smp_row rows;
   write_json "smp" (smp_json rows);
   Format.fprintf ppf
     "  (userlib and per-connection-locked kernels scale with CPUs; the@.";
@@ -546,16 +543,17 @@ let run_overload ?(requests = 200) () =
   write_json "overload" rows;
   Format.fprintf ppf "@."
 
-(* --- Transmit fast path (GSO, completion moderation, pacing) ----------- *)
+(* --- Transmit fast path (GSO, pacing) ------------------------------------ *)
 
 (* The sender-side ladder.  [zc-base] is the zero-copy baseline the
    transmit path is measured against; [zc-deep] adds the deep buffers
    every later rung runs with (an offload episode can only be as large
    as the send queue — this rung shows depth alone moves nothing);
-   [+gso] and [+gso+txc] add the transmit switches one at a time;
-   [rx-coal] is the coalesced receive path WITHOUT the transmit
-   switches, so the [tx_fast] headline decomposes into its receive-side
-   and transmit-side contributions. *)
+   [+gso] adds the offload switch alone; [rx-coal] is the coalesced
+   receive path WITHOUT the transmit switches, so the [tx_fast]
+   headline decomposes into its receive-side and transmit-side
+   contributions; [nogso] and [nopace] leave one transmit switch out
+   of [tx_fast] each, so every kept switch shows its win in a row. *)
 let tx_params =
   let open Uln_proto.Tcp_params in
   let zc = { fast with zero_copy = true } in
@@ -570,10 +568,9 @@ let tx_params =
   [ ("zc-base", zc);
     ("zc-deep", deep);
     ("+gso", { deep with tx_gso = true });
-    ("+gso+txc", { deep with tx_gso = true; tx_complete_coalesce = true });
     ("rx-coal", rx_coal);
+    ("nogso", { tx_fast with tx_gso = false });
     ("nopace", { tx_fast with pacing = false });
-    ("notxc", { tx_fast with tx_complete_coalesce = false });
     ("tx_fast", tx_fast) ]
 
 (* Row labels are literal strings so the ablation-switch lint can pin
@@ -582,21 +579,21 @@ let tx_bulk_rows =
   [ ("tx bulk an1/zc-base", Uln_core.World.An1, "zc-base");
     ("tx bulk an1/zc-deep", Uln_core.World.An1, "zc-deep");
     ("tx bulk an1/+gso", Uln_core.World.An1, "+gso");
-    ("tx bulk an1/+gso+txc", Uln_core.World.An1, "+gso+txc");
     ("tx bulk an1/rx-coal", Uln_core.World.An1, "rx-coal");
+    ("tx bulk an1/nogso", Uln_core.World.An1, "nogso");
+    ("tx bulk an1/nopace", Uln_core.World.An1, "nopace");
     ("tx bulk an1/tx_fast", Uln_core.World.An1, "tx_fast");
     ("tx bulk ethernet/zc-base", Uln_core.World.Ethernet, "zc-base");
     ("tx bulk ethernet/rx-coal", Uln_core.World.Ethernet, "rx-coal");
     ("tx bulk ethernet/nopace", Uln_core.World.Ethernet, "nopace");
-    ("tx bulk ethernet/notxc", Uln_core.World.Ethernet, "notxc");
     ("tx bulk ethernet/tx_fast", Uln_core.World.Ethernet, "tx_fast") ]
 
 (* One sender-limited bulk cell.  The world is built here (rather than
    through [Bulk.measure]) so the sender's CPU time and the NIC's
    transmit-queue counters can be read back after the run: per-byte
-   transmit CPU is the number GSO and completion moderation exist to
-   shrink, and the episode/frame counters prove the offload actually
-   engaged rather than falling back per-segment. *)
+   transmit CPU is the number GSO exists to shrink, and the
+   episode/frame counters prove the offload actually engaged rather
+   than falling back per-segment. *)
 let tx_bulk_cell ?(total_bytes = 4_000_000) (row, network, config) =
   let prm = List.assoc config tx_params in
   let w =
@@ -614,9 +611,9 @@ let tx_bulk_cell ?(total_bytes = 4_000_000) (row, network, config) =
     | None -> assert false
   in
   Format.fprintf ppf
-    "  %-24s %7.2f Mb/s  tx cpu %6.1f ns/B  gso %4d ep /%5d fr  txc %4d ev /%5d descs@." row
+    "  %-24s %7.2f Mb/s  tx cpu %6.1f ns/B  gso %4d ep /%5d fr@." row
     r.Uln_workload.Bulk.mbps tx_ns_per_byte txq.Uln_net.Txq.gso_episodes
-    txq.Uln_net.Txq.gso_frames txq.Uln_net.Txq.events txq.Uln_net.Txq.descs;
+    txq.Uln_net.Txq.gso_frames;
   ( row,
     r.Uln_workload.Bulk.mbps,
     tx_ns_per_byte,
@@ -633,9 +630,7 @@ let tx_bulk_cell ?(total_bytes = 4_000_000) (row, network, config) =
       ("retransmissions", jint r.Uln_workload.Bulk.retransmissions);
       ("tx_cpu_ns_per_byte", jfloat tx_ns_per_byte);
       ("gso_episodes", jint txq.Uln_net.Txq.gso_episodes);
-      ("gso_frames", jint txq.Uln_net.Txq.gso_frames);
-      ("txc_events", jint txq.Uln_net.Txq.events);
-      ("txc_descs", jint txq.Uln_net.Txq.descs) ] )
+      ("gso_frames", jint txq.Uln_net.Txq.gso_frames) ] )
 
 (* Pacing on request/response traffic: the coalesced receive-path
    configuration with the whole transmit path on top.  The pacer
@@ -648,11 +643,10 @@ let tx_paced =
     nagle = false;
     timer_granularity = Uln_engine.Time.ms 1;
     tx_gso = true;
-    tx_complete_coalesce = true;
     pacing = true }
 
 let run_tx ?(requests = 200) () =
-  section "Transmit fast path: sender-limited bulk (tx_gso / tx_complete_coalesce / pacing)";
+  section "Transmit fast path: sender-limited bulk (tx_gso / pacing)";
   let cells = List.map tx_bulk_cell tx_bulk_rows in
   let find label =
     let _, mbps, cpu, _ = List.find (fun (l, _, _, _) -> l = label) cells in
@@ -706,37 +700,6 @@ let run_churn () =
   Uln_workload.Churn.print ppf srows;
   write_json "churn" (churn_json rows @ churn_sparse_json srows);
   Format.fprintf ppf "@."
-
-(* Differential oracle: with every fast-path switch at its default
-   (off), the sequential setup path must regenerate the committed
-   tables byte-for-byte.  The sim is deterministic, so any drift means
-   a switch leaked into the default path. *)
-let run_diffcheck () =
-  section "Differential check (fast-path switches off vs committed tables)";
-  let read_file f =
-    let ic = open_in_bin f in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let failures = ref 0 in
-  let check target contents =
-    let file = Printf.sprintf "BENCH_%s.json" target in
-    if not (Sys.file_exists file) then
-      Format.fprintf ppf "  %-10s SKIP (no committed %s)@." target file
-    else if read_file file = contents then
-      Format.fprintf ppf "  %-10s unchanged@." target
-    else begin
-      incr failures;
-      Format.fprintf ppf "  %-10s MISMATCH vs committed %s@." target file
-    end
-  in
-  check "table2" (json_contents "table2" (t2_json (E.table2 ())));
-  check "table3" (json_contents "table3" (t3_json (E.table3 ())));
-  check "table4" (json_contents "table4" (t4_json (E.table4 ())));
-  Format.fprintf ppf "@.";
-  if !failures > 0 then exit 1
 
 let run_figures () =
   section "Figures 1 and 2 (organization structure)";
@@ -819,20 +782,23 @@ let run_ablations () =
   Format.fprintf ppf "   differentially-tested oracles)@.";
   Format.fprintf ppf "@."
 
-let run_contention () =
-  section "Shared-segment scaling: aggregate goodput vs concurrent pairs (Ethernet)";
+(* Shared-segment scaling: [pairs] in-kernel sender/receiver pairs on
+   one Ethernet, one stream of [contention_bytes] each.  Returns the
+   aggregate goodput of each pair count. *)
+let contention_bytes = 400_000
+
+let contention_rows () =
   let module World = Uln_core.World in
   let module Sockets = Uln_core.Sockets in
   let module Sched = Uln_engine.Sched in
-  let rows = ref [] in
-  List.iter
+  List.map
     (fun pairs ->
       let w =
         World.create ~network:World.Ethernet ~org:Uln_core.Organization.In_kernel
           ~num_hosts:(2 * pairs) ()
       in
       let sched = World.sched w in
-      let bytes = 400_000 in
+      let bytes = contention_bytes in
       let finished = ref Time.zero in
       let remaining = ref pairs in
       for p = 0 to pairs - 1 do
@@ -863,18 +829,63 @@ let run_contention () =
         /. Uln_engine.Time.to_sec_f (Uln_engine.Time.to_ns !finished)
         /. 1e6
       in
-      rows :=
-        [ ("pairs", jint pairs);
-          ("bytes_per_pair", jint bytes);
-          ("aggregate_mbps", jfloat aggregate) ]
-        :: !rows;
+      (pairs, aggregate))
+    [ 1; 2; 3 ]
+
+let contention_json rows =
+  List.map
+    (fun (pairs, aggregate) ->
+      [ ("pairs", jint pairs);
+        ("bytes_per_pair", jint contention_bytes);
+        ("aggregate_mbps", jfloat aggregate) ])
+    rows
+
+let run_contention () =
+  section "Shared-segment scaling: aggregate goodput vs concurrent pairs (Ethernet)";
+  let rows = contention_rows () in
+  List.iter
+    (fun (pairs, aggregate) ->
       Format.fprintf ppf "  %d pair(s): %6.2f Mb/s aggregate@." pairs aggregate)
-    [ 1; 2; 3 ];
-  write_json "contention" (List.rev !rows);
+    rows;
+  write_json "contention" (contention_json rows);
   Format.fprintf ppf
     "  (distinct sender/receiver pairs share the 10 Mb/s medium; aggregate@.";
   Format.fprintf ppf "   approaches the wire once CPU is no longer the bottleneck)@.";
   Format.fprintf ppf "@."
+
+(* Differential oracle: with every fast-path switch at its default
+   (off), the sequential setup path must regenerate the committed
+   tables byte-for-byte, and the SMP and shared-segment sweeps their
+   committed files.  The sim is deterministic, so any drift means a
+   switch leaked into the default path or a result went stale. *)
+let run_diffcheck () =
+  section "Differential check (fast-path switches off vs committed results)";
+  let read_file f =
+    let ic = open_in_bin f in
+    let n = in_channel_length ic in
+    let s = really_input_string ic n in
+    close_in ic;
+    s
+  in
+  let failures = ref 0 in
+  let check target contents =
+    let file = Printf.sprintf "BENCH_%s.json" target in
+    if not (Sys.file_exists file) then
+      Format.fprintf ppf "  %-10s SKIP (no committed %s)@." target file
+    else if read_file file = contents then
+      Format.fprintf ppf "  %-10s unchanged@." target
+    else begin
+      incr failures;
+      Format.fprintf ppf "  %-10s MISMATCH vs committed %s@." target file
+    end
+  in
+  check "table2" (json_contents "table2" (t2_json (E.table2 ())));
+  check "table3" (json_contents "table3" (t3_json (E.table3 ())));
+  check "table4" (json_contents "table4" (t4_json (E.table4 ())));
+  check "smp" (json_contents "smp" (smp_json (smp_rows ())));
+  check "contention" (json_contents "contention" (contention_json (contention_rows ())));
+  Format.fprintf ppf "@.";
+  if !failures > 0 then exit 1
 
 let run_motivation () =
   section "Motivation (SS1.1): request-response vs byte-stream protocols";

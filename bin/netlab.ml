@@ -436,7 +436,7 @@ let txstats_cmd =
     (* Capture the sender's statistics from the sink thread once the
        stream has fully drained (the source has sent its FIN, so every
        data byte is ACKed, but its connection is still attached — the
-       per-engine GSO/pacer/release counters are summed over
+       per-engine GSO/pacer counters are summed over
        connections still open). *)
     let stats = ref None in
     Sched.spawn sched ~name:"sink" (fun () ->
@@ -472,10 +472,6 @@ let txstats_cmd =
     match !stats with
     | None -> failwith "txstats: transfer did not complete"
     | Some (s, got) ->
-        let hist = function
-          | [] -> "(empty)"
-          | h -> String.concat " " (List.map (fun (sz, n) -> Printf.sprintf "%dx%d" sz n) h)
-        in
         Printf.printf "delivered:        %d bytes\n" got;
         Printf.printf "gso (stack):      %d oversized sends, %d per-segment fallbacks\n"
           s.Protolib.ts_gso_sends s.Protolib.ts_gso_fallbacks;
@@ -483,13 +479,6 @@ let txstats_cmd =
           s.Protolib.ts_gso_episodes s.Protolib.ts_gso_frames
           (if s.Protolib.ts_gso_episodes = 0 then 0.
            else float_of_int s.Protolib.ts_gso_frames /. float_of_int s.Protolib.ts_gso_episodes);
-        Printf.printf "tx completions:   %d events reaped %d descriptors (%.2f descs/event)\n"
-          s.Protolib.ts_txc_events s.Protolib.ts_txc_descs
-          (if s.Protolib.ts_txc_events = 0 then 0.
-           else float_of_int s.Protolib.ts_txc_descs /. float_of_int s.Protolib.ts_txc_events);
-        Printf.printf "completion hist:  %s\n" (hist s.Protolib.ts_txc_batch_hist);
-        Printf.printf "releases:         %d zero-copy buffers freed in %d batches\n"
-          s.Protolib.ts_releases s.Protolib.ts_release_batches;
         Printf.printf "pacer:            %d deferred sends, %.0f us total (%.1f us avg)\n"
           s.Protolib.ts_pacer_waits s.Protolib.ts_pacer_wait_us
           (if s.Protolib.ts_pacer_waits = 0 then 0.
@@ -513,14 +502,13 @@ let txstats_cmd =
     (Cmd.info "txstats"
        ~doc:
          "Run a user-library bulk transfer and print the transmit fast-path statistics: GSO \
-          episodes and frames per episode, moderated completion events and batch sizes, \
-          zero-copy release batches, and the pacer's queue-delay histogram.")
+          episodes and frames per episode, and the pacer's queue-delay histogram.")
     Term.(
       const run $ network_arg
       $ Arg.(value & opt int 400_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes to transfer.")
       (* Default to the tx-pool buffer size so alloc_tx succeeds and the
-         zero-copy release batching is visible; larger writes fall back
-         to the copying path and report zero releases. *)
+         writes take the loaned zero-copy path; larger writes fall back
+         to the copying path. *)
       $ size_arg Uln_core.Calibration.tx_pool_buffer_size "User write size."
       $ per_segment_arg)
 
@@ -670,8 +658,7 @@ let setupstats_cmd =
       if sequential then Tcp_params.fast
       else
         { Tcp_params.fast with
-          Tcp_params.overlap_setup = true;
-          channel_pool = true;
+          Tcp_params.channel_pool = true;
           endpoint_lease = true;
           time_wait_wheel = true }
     in
@@ -732,9 +719,9 @@ let setupstats_cmd =
           legs.Registry.sl_samples;
         Printf.printf "  %-34s %8.2f ms\n" "dispatch + port allocation"
           (legs.Registry.sl_port_alloc_us /. 1000.);
-        Printf.printf "  %-34s %8.2f ms\n" "SYN round trip (overlaps build)"
+        Printf.printf "  %-34s %8.2f ms\n" "SYN round trip"
           (legs.Registry.sl_round_trip_us /. 1000.);
-        Printf.printf "  %-34s %8.2f ms\n" "build join + activate + export"
+        Printf.printf "  %-34s %8.2f ms\n" "channel build + activate + export"
           (legs.Registry.sl_finish_us /. 1000.);
         Printf.printf "  %-34s %8.2f ms\n" "total" (legs.Registry.sl_total_us /. 1000.);
         let p = Registry.pool_stats r in
@@ -782,8 +769,8 @@ let setupstats_cmd =
       value & flag
       & info [ "sequential" ]
           ~doc:
-            "Run the sequential oracle (overlap, pooling, leases and the TIME_WAIT wheel all \
-             off) instead of the fast path.")
+            "Run the sequential oracle (pooling, leases and the TIME_WAIT wheel all off) \
+             instead of the fast path.")
   in
   Cmd.v
     (Cmd.info "setupstats"

@@ -137,8 +137,7 @@ let deliver t ch frame =
   end
   else t.overflows <- t.overflows + 1
 
-let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = false)
-    ?(txc = false) () =
+let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = false) () =
   let t =
     { machine;
       nic;
@@ -165,11 +164,6 @@ let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = fals
   if napi then
     nic.Nic.set_napi
       (Some { Uln_net.Napi.budget = Calibration.napi_budget; ring = Calibration.napi_ring_slots });
-  (* Completion moderation: reap finished transmit descriptors in
-     batches (one interrupt charge per batch) instead of per frame. *)
-  if txc then
-    nic.Nic.set_txc
-      (Some { Uln_net.Txq.budget = Calibration.txc_budget; delay = Calibration.txc_delay });
   let costs = machine.Machine.costs in
   let deliver ch frame = deliver t ch frame in
   let rx (info : Nic.rx_info) =

@@ -29,7 +29,6 @@ val create :
   ?flow_cache:bool ->
   ?hier:bool ->
   ?napi:bool ->
-  ?txc:bool ->
   unit ->
   t
 (** [flow_cache] (default [false]) enables the exact-match flow cache in
@@ -38,11 +37,7 @@ val create :
     scan (see {!Uln_filter.Demux}).  [napi] (default [false]) installs
     NAPI-style interrupt suppression on the NIC
     ({!Uln_net.Nic.t.set_napi}, budget and ring from {!Calibration}) —
-    the {!Uln_proto.Tcp_params.int_suppress} ablation.  [txc] (default
-    [false]) installs transmit completion moderation
-    ({!Uln_net.Nic.t.set_txc}, budget and delay from {!Calibration}) —
-    the {!Uln_proto.Tcp_params.tx_complete_coalesce} ablation's NIC
-    half. *)
+    the {!Uln_proto.Tcp_params.int_suppress} ablation. *)
 
 val nic : t -> Uln_net.Nic.t
 val machine : t -> Uln_host.Machine.t
@@ -303,9 +298,8 @@ val napi_stats : t -> Uln_net.Napi.stats
     never installed). *)
 
 val txq_stats : t -> Uln_net.Txq.stats
-(** The NIC's transmit-path counters: GSO episodes and frames cut,
-    completion events and descriptors reaped per batch (all zero when
-    neither tx ablation is on). *)
+(** The NIC's transmit-path counters: GSO episodes and frames cut (all
+    zero unless {!Uln_proto.Tcp_params.t.tx_gso} is on). *)
 
 val demux_cost_dist : t -> Uln_engine.Stats.Dist.t
 (** Per-packet demultiplexing cost (us) actually charged — the Table 5

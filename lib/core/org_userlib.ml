@@ -16,12 +16,7 @@ let create machine nic ~ip ~mode ?flow_cache ?quota ?tcp_params () =
   let napi =
     match tcp_params with Some p -> p.Uln_proto.Tcp_params.int_suppress | None -> false
   in
-  let txc =
-    match tcp_params with
-    | Some p -> p.Uln_proto.Tcp_params.tx_complete_coalesce
-    | None -> false
-  in
-  let netio = Netio.create machine nic ~mode ?flow_cache ~hier ~napi ~txc () in
+  let netio = Netio.create machine nic ~mode ?flow_cache ~hier ~napi () in
   let registry = Registry.create machine netio ~ip ?tcp_params ?quota () in
   { machine; netio; registry; ip; tcp_params }
 

@@ -24,6 +24,10 @@ exception Deadlock of string
 val create : unit -> t
 (** A fresh scheduler with the clock at {!Time.zero}. *)
 
+val id : t -> int
+(** A number unique to this scheduler among those created by the
+    process (a stable hash key for per-scheduler tables). *)
+
 val now : t -> Time.t
 (** Current simulated time. *)
 

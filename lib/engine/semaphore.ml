@@ -21,11 +21,19 @@ type t = {
   wait_us : Stats.Dist.t;
 }
 
-(* Named semaphores register themselves so tools can report the most
-   contended locks of a run without threading every lock handle through
-   the call graph.  The list is append-only; queries filter by
-   scheduler so coexisting worlds don't see each other's locks. *)
-let registry : t list ref = ref []
+(* Named semaphores of a scheduler register themselves so tools can
+   report the most contended locks of a run without threading every
+   lock handle through the call graph.  The table is keyed weakly on
+   the scheduler: a dropped world takes its lock list with it, and
+   coexisting worlds never see each other's locks. *)
+module Registry = Ephemeron.K1.Make (struct
+  type t = Sched.t
+
+  let equal = ( == )
+  let hash = Sched.id
+end)
+
+let registry : t list Registry.t = Registry.create 8
 
 let create ?name ?sched ?(kind = "semaphore") ?(initial = 0) () =
   let t =
@@ -40,7 +48,11 @@ let create ?name ?sched ?(kind = "semaphore") ?(initial = 0) () =
       max_wait_ns = 0;
       wait_us = Stats.Dist.create (Option.value name ~default:"" ^ ".wait_us") }
   in
-  if name <> None then registry := t :: !registry;
+  (match (name, sched) with
+  | Some _, Some s ->
+      Registry.replace registry s
+        (t :: Option.value ~default:[] (Registry.find_opt registry s))
+  | _ -> ());
   t
 
 let count t = t.count
@@ -85,12 +97,5 @@ let stats t =
     s_max_wait_ns = t.max_wait_ns;
     s_wait_us = t.wait_us }
 
-let same_sched sched t =
-  match sched with
-  | None -> true
-  | Some s -> ( match t.sched with Some s' -> s' == s | None -> false)
-
-let registered ?sched () = List.rev_map stats (List.filter (same_sched sched) !registry)
-
-let reset_registered ?sched () =
-  registry := List.filter (fun t -> not (same_sched sched t)) !registry
+let registered ~sched () =
+  List.rev_map stats (Option.value ~default:[] (Registry.find_opt registry sched))

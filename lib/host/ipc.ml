@@ -83,8 +83,7 @@ let call t ~size req =
    returns immediately; [await] blocks for (and pays the client-side
    reception of) the reply.  Posting several requests before awaiting
    any overlaps the server's processing of each with the client's
-   sending of the next — the send-side analogue of the overlapped
-   connection setup. *)
+   sending of the next. *)
 
 type 'resp promise = { mutable value : 'resp option; mutable waker : (unit -> unit) option }
 

@@ -48,8 +48,8 @@ let sendq_peek_sum sq ~off ~len =
       (Mbuf.of_view v, sum)
   | I i -> Iovec.peek_sum i ~off ~len
 
-let sendq_drop ?sink sq n =
-  match sq with Q q -> Bytequeue.drop q n | I i -> Iovec.drop ?sink i n
+let sendq_drop sq n =
+  match sq with Q q -> Bytequeue.drop q n | I i -> Iovec.drop i n
 let sendq_clear = function Q q -> Bytequeue.clear q | I i -> Iovec.clear i
 
 type snapshot = {
@@ -208,11 +208,9 @@ and t = {
   mutable gro_merged : int; (* segments absorbed beyond the first of a run *)
   mutable gro_flushes : int; (* merged runs handed to process_segment *)
   mutable acks_elided : int; (* ACKs burst_ack coalescing suppressed *)
-  (* transmit fast path (tx_gso / tx_complete_coalesce / pacing) *)
+  (* transmit fast path (tx_gso / pacing) *)
   mutable gso_sends : int; (* oversized logical segments handed to the NIC *)
   mutable gso_fallbacks : int; (* data sends that went per-segment with tx_gso on *)
-  mutable tx_release_batches : int; (* batched zero-copy release flushes *)
-  mutable tx_releases : int; (* release callbacks fired through those batches *)
   mutable pacer_waits : int; (* data sends the pacer deferred *)
   mutable pacer_wait_us : float; (* total deferral *)
   pacer_hist : (int, int) Hashtbl.t; (* log2(deferral in us) -> count *)
@@ -236,8 +234,6 @@ let gro_flushes t = t.gro_flushes
 let acks_elided t = t.acks_elided
 let gso_sends t = t.gso_sends
 let gso_fallbacks t = t.gso_fallbacks
-let tx_release_batches t = t.tx_release_batches
-let tx_releases t = t.tx_releases
 let pacer_waits t = t.pacer_waits
 let pacer_wait_us t = t.pacer_wait_us
 
@@ -1159,22 +1155,7 @@ let process_ack c (seg : Tcp_wire.segment) =
       && acked > sendq_length c.snd_buf
     in
     let data_acked = Stdlib.min (acked - (if fin_acked then 1 else 0)) (sendq_length c.snd_buf) in
-    (* Transmit completion coalescing, TCP side: the zero-copy releases
-       this ACK retires fire as one batch after the drop completes,
-       instead of interleaved slot-by-slot (each still exactly once). *)
-    if data_acked > 0 then begin
-      if c.engine.prm.Tcp_params.tx_complete_coalesce then begin
-        let batch = ref [] in
-        sendq_drop ~sink:(fun f -> batch := f :: !batch) c.snd_buf data_acked;
-        match !batch with
-        | [] -> ()
-        | fs ->
-            c.engine.tx_release_batches <- c.engine.tx_release_batches + 1;
-            c.engine.tx_releases <- c.engine.tx_releases + List.length fs;
-            List.iter (fun f -> f ()) (List.rev fs)
-      end
-      else sendq_drop c.snd_buf data_acked
-    end;
+    if data_acked > 0 then sendq_drop c.snd_buf data_acked;
     c.snd_una <- ack;
     if Tcp_seq.gt c.snd_una c.snd_nxt then c.snd_nxt <- c.snd_una;
     Sack.forward c.sb ~una:c.snd_una;
@@ -1873,8 +1854,6 @@ let create env ip ?(params = Tcp_params.default) () =
       acks_elided = 0;
       gso_sends = 0;
       gso_fallbacks = 0;
-      tx_release_batches = 0;
-      tx_releases = 0;
       pacer_waits = 0;
       pacer_wait_us = 0.;
       pacer_hist = Hashtbl.create 8 }

@@ -20,7 +20,6 @@ type t = {
   header_prediction : bool;
   fused_checksum : bool;
   zero_copy : bool;
-  overlap_setup : bool;
   channel_pool : bool;
   endpoint_lease : bool;
   time_wait_wheel : bool;
@@ -36,7 +35,6 @@ type t = {
   int_suppress : bool;
   gro_budget : int;
   tx_gso : bool;
-  tx_complete_coalesce : bool;
   pacing : bool;
   gso_max : int;
 }
@@ -61,7 +59,6 @@ let default =
     header_prediction = true;
     fused_checksum = true;
     zero_copy = false;
-    overlap_setup = false;
     channel_pool = false;
     endpoint_lease = false;
     time_wait_wheel = false;
@@ -77,7 +74,6 @@ let default =
     int_suppress = false;
     gro_budget = 32;
     tx_gso = false;
-    tx_complete_coalesce = false;
     pacing = false;
     gso_max = 65535 }
 
@@ -113,18 +109,16 @@ let coalesced =
   { fast with rx_coalesce = true; burst_ack = true; int_suppress = true; ack_every = 8 }
 
 (* The transmit-side fast path: one oversized logical segment per send
-   episode (the NIC cuts wire frames — tx_gso), moderated batch
-   reaping of finished transmit descriptors and loaned-buffer releases
-   (tx_complete_coalesce), and a cwnd/srtt software pacer that spreads
-   the resulting line-rate bursts (pacing).  Composed over the
-   zero-copy data path — the sender baseline whose remaining
-   per-segment costs GSO amortizes — and the [coalesced] receive path,
-   whose stretched ACKs open multi-MSS windows in one step: without
-   them transmission stays ACK-clocked in 1-2 MSS quanta and an
-   offload episode never has more than two frames to merge.  Buffers
-   are deepened to match (an offload episode can only be as large as
-   the send queue), and the timer wheel runs at 1 ms so pacer release
-   times are not quantized to the coarse RTO tick. *)
+   episode (the NIC cuts wire frames — tx_gso) and a cwnd/srtt software
+   pacer that spreads the resulting line-rate bursts (pacing).
+   Composed over the zero-copy data path — the sender baseline whose
+   remaining per-segment costs GSO amortizes — and the [coalesced]
+   receive path, whose stretched ACKs open multi-MSS windows in one
+   step: without them transmission stays ACK-clocked in 1-2 MSS quanta
+   and an offload episode never has more than two frames to merge.
+   Buffers are deepened to match (an offload episode can only be as
+   large as the send queue), and the timer wheel runs at 1 ms so pacer
+   release times are not quantized to the coarse RTO tick. *)
 let tx_fast =
   { coalesced with
     zero_copy = true;
@@ -132,7 +126,6 @@ let tx_fast =
     rcv_buf = 1 lsl 16;
     timer_granularity = Time.ms 1;
     tx_gso = true;
-    tx_complete_coalesce = true;
     pacing = true }
 
 (* --- the ablation-switch registry (proto-check switch lint) ----------- *)
@@ -153,9 +146,6 @@ let switches =
     { sw_field = "zero_copy";
       sw_oracle = "test/test_fastpath.ml:prop_zero_copy_differential";
       sw_bench_row = "bulk userlib-zc" };
-    { sw_field = "overlap_setup";
-      sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
-      sw_bench_row = "+lease" };
     { sw_field = "channel_pool";
       sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
       sw_bench_row = "+lease" };
@@ -201,9 +191,6 @@ let switches =
     { sw_field = "tx_gso";
       sw_oracle = "test/test_txpath.ml:prop_gso_differential";
       sw_bench_row = "tx bulk an1/+gso" };
-    { sw_field = "tx_complete_coalesce";
-      sw_oracle = "test/test_txpath.ml:prop_txc_release_exactly_once";
-      sw_bench_row = "tx bulk an1/+gso+txc" };
     { sw_field = "pacing";
       sw_oracle = "test/test_txpath.ml:prop_pacing_order_and_rate";
       sw_bench_row = "tx incast/pacing" } ]

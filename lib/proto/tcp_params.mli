@@ -56,15 +56,6 @@ type t = {
           segments through batched descriptor rings.  [false] (the
           default) keeps the copying path as the differential-testing
           oracle. *)
-  overlap_setup : bool;
-      (** Overlapped connection setup: the registry pipelines the user
-          channel build (region/ring/filter work, and the BQI machinery
-          on AN1) with the remote SYN round trip instead of serializing
-          them — the paper's §4 lament that outbound setup processing is
-          "non-overlapped" with the peer's round trip.  Affects only
-          {e when} setup CPU work is charged, never what is charged or
-          any wire traffic; [false] (the default) is the sequential
-          oracle. *)
   channel_pool : bool;
       (** Channel recycling across connections: on final release the
           registry parks the user channel (shared region, rings,
@@ -196,16 +187,6 @@ type t = {
           take the per-segment path.  The wire traffic is byte-identical
           to the per-segment path (differentially tested); [false] (the
           default) is the per-segment oracle. *)
-  tx_complete_coalesce : bool;
-      (** Moderated transmit completions: finished tx descriptors are
-          reaped in batches — one completion event per
-          {!Uln_core.Calibration.txc_budget} descriptors or
-          {!Uln_core.Calibration.txc_delay} settle window — and the
-          zero-copy send queue batches its release-on-ack buffer
-          returns per ACK-processing pass instead of firing one
-          callback per queued buffer.  Every release still fires
-          exactly once (differentially tested); [false] (the default)
-          completes and releases immediately, one at a time. *)
   pacing : bool;
       (** Software pacing: data transmission is spread at the
           congestion-control rate cwnd/srtt (timer-wheel scheduled at
@@ -237,10 +218,9 @@ val coalesced : t
     rpc/incast benches compare against the per-packet baseline. *)
 
 val tx_fast : t
-(** Transmit-side preset: [fast] with {!t.zero_copy} plus {!t.tx_gso},
-    {!t.tx_complete_coalesce} and {!t.pacing} all on — the sender fast
-    path the [bench tx] ablation rows compare against the zero-copy
-    baseline. *)
+(** Transmit-side preset: [fast] with {!t.zero_copy} plus {!t.tx_gso}
+    and {!t.pacing} both on — the sender fast path the [bench tx]
+    ablation rows compare against the zero-copy baseline. *)
 
 (** {2 Ablation-switch registry}
 

@@ -3,8 +3,7 @@
     (the RPC/HTTP-like pattern of ROADMAP's "millions of users"
     north-star) measure aggregate connections/sec and the
     client-observed setup latency, across the fast-path ablation ladder
-    {baseline, +overlap, +pool, +lease} and the reference
-    organizations.
+    {baseline, +pool, +lease} and the reference organizations.
 
     Each cell runs two phases in one world.  The churn phase drives
     [pairs] concurrent clients on host 0, each against a server on its
@@ -17,7 +16,7 @@
 
 type result = {
   r_system : string;  (** "userlib" | "mach-ux" | "ultrix" *)
-  r_config : string;  (** "baseline" | "+overlap" | "+pool" | "+lease" *)
+  r_config : string;  (** "baseline" | "+pool" | "+lease" *)
   r_pairs : int;
   r_conns : int;  (** connections opened during the churn phase *)
   r_conns_per_sec : float;  (** churn phase, all pairs aggregated *)
@@ -56,7 +55,7 @@ val sweep :
   ?network:Uln_core.World.network ->
   unit ->
   result list
-(** The full matrix: the four user-library configurations plus
+(** The full matrix: the three user-library configurations plus
     single-server and in-kernel reference rows. *)
 
 val print : Format.formatter -> result list -> unit

@@ -126,7 +126,6 @@ let run ?(bytes_per_pair = 1_000_000) ?(locking = `Big_lock) ?(seed = 1) ~org ~c
       (0, 0, 0)
       (Semaphore.registered ~sched ())
   in
-  Semaphore.reset_registered ~sched ();
   { r_org = Organization.name org;
     r_locking =
       (match org with

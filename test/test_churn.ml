@@ -1,6 +1,6 @@
 (* Connection-churn fast path: TIME_WAIT wheel semantics, endpoint
    lease port accounting, the pipelined IPC primitive, and a
-   differential check that the overlapped/pooled/leased setup path is
+   differential check that the pooled/leased setup path is
    wire-identical to the sequential oracle. *)
 
 module Sched = Uln_engine.Sched
@@ -181,10 +181,7 @@ let test_ipc_post_await () =
 (* --- differential: fast-path setup vs the sequential oracle ----------- *)
 
 let fast_cfg =
-  { Tcp_params.fast with
-    Tcp_params.overlap_setup = true;
-    channel_pool = true;
-    endpoint_lease = true }
+  { Tcp_params.fast with Tcp_params.channel_pool = true; endpoint_lease = true }
 
 let pattern n =
   String.init n (fun i -> Char.chr (((i * 31) + (i / 251)) land 0x7f))
@@ -195,15 +192,29 @@ let pattern n =
    fault injection, so retransmissions included), and how many connects
    used the lease.
 
-   Faults are armed only once the connection is established and the
-   setup plane has gone quiet.  The setup configurations legitimately
-   shift *when* the first writes land relative to the handshake (the
-   overlapped build keeps charging the client CPU briefly after connect
-   returns), and the injector draws its RNG per delivered frame — so
-   faulting from frame one would compare two different fault patterns,
-   not two setup paths.  From a settled connection both configurations
-   face an identical frame sequence, and the oracle comparison is
-   exact. *)
+   Faults are armed, and the data phase begins, at one fixed simulated
+   instant in every configuration.  The setup paths legitimately finish
+   at different times ([connect] returns after ~22 ms on the lease
+   path, ~12 ms on the sequential one), and that difference must not
+   leak into the data phase:
+   - the injector draws its RNG per delivered frame, so faulting from
+     frame one would compare two different fault patterns;
+   - a timer service's tick events run at a fixed period from the
+     moment its first timer was armed after an idle spell, while the
+     wheel rounds expiries to absolute ticks.  The lease path arms the
+     SYN retransmit timer in the library's own engine; the sequential
+     path hands over a connection whose engine has armed nothing.  A
+     data phase started while the lease path's tick chain is still
+     running (its cancelled SYN timer drains only at its expiry tick)
+     fires every later retransmission timeout at a different phase, and
+     the segment counts drift apart.
+   [data_start] is tick-aligned and late enough that every setup-phase
+   timer has drained, so in both configurations the client's tick chain
+   restarts at the first data write, and both runs face the same frame
+   sequence from there on. *)
+let data_start =
+  Time.add Time.zero (Time.span_scale Tcp_params.fast.Tcp_params.timer_granularity 5)
+
 let transfer ?fault ~params ~seed n =
   let w =
     World.create ~network:World.Ethernet ~org:Organization.User_library ~tcp_params:params
@@ -239,7 +250,9 @@ let transfer ?fault ~params ~seed n =
       (match cli.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:8080 with
       | Error e -> failwith e
       | Ok c ->
-          Sched.sleep sched (Time.ms 50);
+          let now = Sched.now sched in
+          if Time.compare now data_start >= 0 then failwith "setup overran the data phase";
+          Sched.sleep sched (Time.diff data_start now);
           (match fault with Some f -> Link.set_fault (World.link w) f | None -> ());
           let rng = Rng.create ~seed in
           let pos = ref 0 in
@@ -274,7 +287,7 @@ let prop_fastpath_equivalent_under_faults =
      byte-identical delivery and equal segment counts against the
      sequential oracle.  (Setup itself is compared on the clean link
      above, where the whole trace is deterministic.) *)
-  QCheck.Test.make ~name:"overlap+pool+lease setup = sequential oracle under faults"
+  QCheck.Test.make ~name:"pool+lease setup = sequential oracle under faults"
     ~count:5
     QCheck.(1 -- 1_000_000)
     (fun seed ->

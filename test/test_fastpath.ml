@@ -410,7 +410,9 @@ let transfer_zc ?fault ~zero_copy ~frag_seed n =
       in
       drainloop ();
       Tcp.close conn);
-  let frags = ref 0 and releases = ref 0 in
+  (* One release counter per loaned fragment, so a slot released twice
+     cannot hide behind one that was never released. *)
+  let releases = ref [] in
   run_to_completion w (fun () ->
       match Tcp.connect w.a.stack.Stack.tcp ~src_port:5000 ~dst:w.b.ip ~dst_port:80 with
       | Error e -> failwith e
@@ -422,8 +424,11 @@ let transfer_zc ?fault ~zero_copy ~frag_seed n =
                must compose across odd/even fragment boundaries. *)
             let len = Stdlib.min (n - !off) (1 + Rng.int rng 1200) in
             let v = View.of_string (String.sub data !off len) in
-            incr frags;
-            if zero_copy then Tcp.write_owned c v ~release:(fun () -> incr releases)
+            if zero_copy then begin
+              let count = ref 0 in
+              releases := count :: !releases;
+              Tcp.write_owned c v ~release:(fun () -> incr count)
+            end
             else Tcp.write c v;
             off := !off + len
           done;
@@ -434,8 +439,7 @@ let transfer_zc ?fault ~zero_copy ~frag_seed n =
     data,
     Tcp.segments_out tcp_a + Tcp.segments_out tcp_b,
     Tcp.retransmissions tcp_a + Tcp.retransmissions tcp_b,
-    !frags,
-    !releases )
+    List.rev_map ( ! ) !releases )
 
 let prop_zero_copy_differential =
   (* The acceptance bar: across randomized loss/reorder/duplication and
@@ -453,14 +457,15 @@ let prop_zero_copy_differential =
       let mk () =
         Fault.create ~rng:(Rng.create ~seed) ~drop:0.02 ~duplicate:0.02 ~reorder:0.08 ()
       in
-      let got_z, want, segs_z, rexmit_z, frags, releases =
+      let got_z, want, segs_z, rexmit_z, releases =
         transfer_zc ~fault:(mk ()) ~zero_copy:true ~frag_seed n
       in
-      let got_c, _, segs_c, rexmit_c, _, _ =
+      let got_c, _, segs_c, rexmit_c, _ =
         transfer_zc ~fault:(mk ()) ~zero_copy:false ~frag_seed n
       in
       String.equal got_z want && String.equal got_c want && segs_z = segs_c
-      && rexmit_z = rexmit_c && releases = frags)
+      && rexmit_z = rexmit_c && releases <> []
+      && List.for_all (( = ) 1) releases)
 
 let test_loan_backpressure_reopens () =
   (* Loans held by the application keep occupying receive buffering: the

@@ -123,9 +123,23 @@ let test_mutex_stats_and_registry () =
   let regs = Semaphore.registered ~sched () in
   check_bool "registered under its name" true
     (List.exists (fun (r : Semaphore.stats) -> r.Semaphore.s_name = "test.lock") regs);
-  Semaphore.reset_registered ~sched ();
-  check "registry cleared for this sched" 0
-    (List.length (Semaphore.registered ~sched ()))
+  check "other schedulers see none of it" 0
+    (List.length (Semaphore.registered ~sched:(Sched.create ()) ()))
+
+let test_dropped_world_collectable () =
+  (* The lock registry holds each scheduler weakly: once a world is
+     dropped, nothing registered on its behalf keeps it (and every
+     buffer it reaches) alive. *)
+  let weak = Weak.create 1 in
+  let build () =
+    let w = World.create ~cpus:2 ~network:World.Ethernet ~org:Organization.In_kernel () in
+    let sched = World.sched w in
+    check_bool "world registered named locks" true (Semaphore.registered ~sched () <> []);
+    Weak.set weak 0 (Some sched)
+  in
+  build ();
+  Gc.full_major ();
+  check_bool "dropped world's scheduler collected" false (Weak.check weak 0)
 
 (* --- lock-order sanitizer ----------------------------------------------- *)
 
@@ -502,6 +516,7 @@ let () =
         [ Alcotest.test_case "semaphore stats" `Quick test_semaphore_contention_stats;
           Alcotest.test_case "try_wait" `Quick test_try_wait_counts_successes_only;
           Alcotest.test_case "mutex stats + registry" `Quick test_mutex_stats_and_registry;
+          Alcotest.test_case "dropped world collectable" `Quick test_dropped_world_collectable;
           Alcotest.test_case "ABBA reported, not deadlocked" `Quick
             test_abba_reported_not_deadlocked;
           Alcotest.test_case "declared order stays clean" `Quick

@@ -1,7 +1,6 @@
 (* Differential tests for the transmit-side fast path: GSO-style
-   segmentation offload ([tx_gso]), moderated completion reaping with
-   batched zero-copy releases ([tx_complete_coalesce]), and the
-   cwnd/min-RTT software pacer ([pacing]).
+   segmentation offload ([tx_gso]) and the cwnd/min-RTT software pacer
+   ([pacing]).
 
    The GSO differential is the strongest claim in the suite: the NIC
    cuts an offload episode into exactly the wire frames the
@@ -9,10 +8,11 @@
    header template), so on zero-cost hosts the two configurations must
    be wire-IDENTICAL — byte-identical payloads and identical
    data/retransmission/ACK counts under drop/dup/reorder faults.
-   Completion moderation and pacing only re-time work, so their
-   differentials claim payload integrity plus the property that names
-   them: every loaned slot released exactly once, and paced
-   transmissions in seq order at a rate that still fills the wire. *)
+   Pacing only re-times work, so its differential claims payload
+   integrity plus the property that names it: paced transmissions in
+   seq order at a rate that still fills the wire.  Underneath both sits
+   the zero-copy transmit completion: every loaned slot goes back to
+   the pool exactly once. *)
 
 open Tutil
 module World = Uln_core.World
@@ -108,10 +108,11 @@ let etransfer ?fault ?(wsize = 8192) ~params n =
 (* One bulk transfer source->sink through the user-library
    organization, sending through the loaned-buffer path where the
    transmit pool offers a slot (chunks fit [tx_pool_buffer_size]).
-   The source's transmit statistics are sampled once the sink has
-   drained the payload plus a settle delay — long before TIME_WAIT
-   detaches the connection, and late enough that the last data ACK
-   (even one retransmission cycle of it) has retired every slot. *)
+   The source's transmit and loan-pool statistics are sampled once the
+   sink has drained the payload plus a settle delay — long before
+   TIME_WAIT detaches the connection, and late enough that the last
+   data ACK (even one retransmission cycle of it) has retired every
+   slot.  Returns the number of loaned sends alongside. *)
 let ltransfer ?fault ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
   let w =
     World.create ~tcp_params:params ~network ~org:Organization.User_library ()
@@ -140,7 +141,7 @@ let ltransfer ?fault ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
       in
       drain ();
       Sched.sleep sched (Time.ms 400);
-      stats := Some (Protolib.txstats source_lib);
+      stats := Some (Protolib.txstats source_lib, Protolib.bufstats source_lib);
       conn.Sockets.close ());
   let data = pattern n in
   let loans = ref 0 in
@@ -161,7 +162,8 @@ let ltransfer ?fault ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
           done;
           conn.Sockets.close ();
           conn.Sockets.await_closed ());
-  (Buffer.contents received, data, !loans, Option.get !stats)
+  let ts, bs = Option.get !stats in
+  (Buffer.contents received, data, !loans, ts, bs)
 
 (* --- tx_gso: wire-identical segmentation offload ------------------------ *)
 
@@ -237,37 +239,26 @@ let test_gso_fallback_paths () =
   check "identical data segments" w_off.data_segs w_on.data_segs;
   check "identical pure ACKs" w_off.acks w_on.acks
 
-(* --- tx_complete_coalesce: exactly-once release accounting -------------- *)
-
-let txc_on =
-  { Tcp_params.fast with Tcp_params.zero_copy = true; tx_complete_coalesce = true }
+(* --- zero-copy transmit completion: exactly-once slot release ---------- *)
 
 let prop_txc_release_exactly_once =
-  (* Moderated reaping batches zero-copy releases behind ACKs; under
-     faults a slot may be retransmitted from, held longer, reaped in a
-     different batch — but every loaned slot fires its release exactly
-     once (and the payload the loans carried arrives intact). *)
+  (* Under faults a loaned slot may be retransmitted from and held
+     longer, but its release fires exactly once, when the ACK covering
+     its last byte arrives: the test counts its loans and checks every
+     one came back to the pool (the pool itself rejects a second
+     free), and the payload the loans carried arrives intact. *)
   QCheck.Test.make ~name:"txc: every loaned slot released exactly once under faults"
     ~count:6
     QCheck.(1 -- 1_000_000)
     (fun seed ->
-      let got, want, loans, ts = ltransfer ~fault:(mk_fault seed) ~params:txc_on 24_000 in
-      String.equal got want
-      && loans > 0
-      && ts.Protolib.ts_releases = loans
-      && ts.Protolib.ts_release_batches > 0
-      && ts.Protolib.ts_release_batches <= loans)
-
-let test_txc_batches_on_clean_link () =
-  (* Fault-free determinism: releases ride ACK-driven flushes, fewer
-     flushes than releases once the stretched cadence retires several
-     slots per ACK. *)
-  let params = { txc_on with Tcp_params.ack_every = 8 } in
-  let got, want, loans, ts = ltransfer ~params 48_000 in
-  check_str "delivery intact" want got;
-  check "every loan released exactly once" loans ts.Protolib.ts_releases;
-  check_bool "releases were batched" true
-    (ts.Protolib.ts_release_batches < ts.Protolib.ts_releases)
+      let params = { Tcp_params.fast with Tcp_params.zero_copy = true } in
+      let got, want, loans, _, bs = ltransfer ~fault:(mk_fault seed) ~params 24_000 in
+      String.equal got want && loans > 0 && bs <> []
+      && List.for_all
+           (fun b ->
+             b.Protolib.bs_pool_in_use = 0
+             && b.Protolib.bs_pool_available = b.Protolib.bs_pool_capacity)
+           bs)
 
 (* --- pacing: seq order preserved, wire still filled --------------------- *)
 
@@ -312,19 +303,15 @@ let prop_pacing_order_and_rate =
 
 let test_tx_fast_engaged_end_to_end () =
   (* Through the full user-library organization on the fast NIC: the
-     offload path forms multi-frame episodes, completion moderation
-     reaps descriptors in events, the pacer spreads at least some
-     bursts, and the payload survives all three. *)
-  let got, want, _, ts =
+     offload path forms multi-frame episodes, the pacer spreads at
+     least some bursts, and the payload survives both. *)
+  let got, want, _, ts, _ =
     ltransfer ~network:World.An1 ~chunk:4096 ~params:Tcp_params.tx_fast 200_000
   in
   check_str "delivery intact" want got;
   check_bool "offload episodes reached the NIC" true (ts.Protolib.ts_gso_episodes > 0);
   check_bool "episodes carried multiple frames" true
     (ts.Protolib.ts_gso_frames > ts.Protolib.ts_gso_episodes);
-  check_bool "completion events moderated" true (ts.Protolib.ts_txc_events > 0);
-  check_bool "events reaped at least one descriptor each" true
-    (ts.Protolib.ts_txc_descs >= ts.Protolib.ts_txc_events);
   check_bool "pacer engaged" true (ts.Protolib.ts_pacer_waits > 0)
 
 let () =
@@ -336,10 +323,7 @@ let () =
             test_gso_wire_identical_clean_link;
           Alcotest.test_case "sub-MSS writes fall back per-segment" `Quick
             test_gso_fallback_paths ] );
-      ( "tx-complete",
-        [ qc prop_txc_release_exactly_once;
-          Alcotest.test_case "releases batch behind ACKs on a clean link" `Quick
-            test_txc_batches_on_clean_link ] );
+      ("tx-complete", [ qc prop_txc_release_exactly_once ]);
       ( "pacing", [ qc prop_pacing_order_and_rate ] );
       ( "tx-fast",
         [ Alcotest.test_case "composed preset engages end to end" `Quick
