@@ -1060,12 +1060,33 @@ let micro_tests () =
   let quick_demux () =
     ignore (Uln_filter.Interp.run conn_prog packet)
   in
+  (* Connection admission as the registry drives it: an overlap check
+     against every installed filter, then the install, into a table of
+     [n] connection filters; the remove keeps the table at [n]. *)
+  let admit_into n =
+    let module D = Uln_filter.Demux in
+    let t = D.create ~mode:D.Interpreted () in
+    for i = 1 to n do
+      ignore
+        (D.install_exn t
+           (Uln_filter.Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(2000 + i)
+              ~dst_port:80)
+           i)
+    done;
+    fun () ->
+      ignore (D.conflicts t conn_prog);
+      D.remove t (D.install_exn t conn_prog 0)
+  in
   [ (* hot paths *)
     Test.make ~name:"checksum-1460B" (Staged.stage (fun () -> Uln_proto.Checksum.of_view payload_1460));
     Test.make ~name:"filter-interp" (Staged.stage (fun () -> Uln_filter.Interp.run conn_prog packet));
     Test.make ~name:"filter-compiled" (Staged.stage (fun () -> compiled packet));
     Test.make ~name:"tcp-decode-1460B"
       (Staged.stage (fun () -> Uln_proto.Tcp_wire.decode ~src_ip:ip_a ~dst_ip:ip_b encoded));
+    (* per-connection admission cost and its growth with table size *)
+    Test.make ~name:"admit-tcp_conn(16-entries)" (Staged.stage (admit_into 16));
+    Test.make ~name:"admit-tcp_conn(128-entries)" (Staged.stage (admit_into 128));
+    Test.make ~name:"admit-tcp_conn(1024-entries)" (Staged.stage (admit_into 1024));
     (* one per table: a representative cell of each experiment *)
     Test.make ~name:"table1-cell(raw-exchange-100KB)" (Staged.stage quick_raw);
     Test.make ~name:"table2-cell(userlib-ethernet-100KB)"

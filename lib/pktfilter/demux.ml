@@ -2,7 +2,9 @@ type mode = Interpreted | Compiled
 
 type 'a entry = {
   id : int;
-  program : Program.t;  (* as installed (overlap checks use this) *)
+  installed : Verify.analyzed;
+      (* the program as installed, analyzed once at install time; the
+         overlap checks in [conflicts] read it *)
   optimized : Program.t;  (* what actually runs *)
   predicate : Uln_buf.View.t -> bool * int;
   wcet : int;
@@ -130,32 +132,35 @@ let set_flow_cache t on =
 let set_hier t on = t.hier <- on
 
 let conflicts t program =
+  let candidate = Verify.analyzed program in
   (* Single-slot memo on the physical program: stamped populations share
-     their template's program object and sit consecutively in the list,
-     so a 10^6-entry table costs one symbolic overlap check for the
-     whole run instead of one per entry. *)
+     their template's program and analysis and sit consecutively in the
+     list, so a 10^6-entry table runs the witness search (constraint
+     merges plus interpreter checks) once for the whole run instead of
+     once per entry.  No entry is re-analyzed: each carries the
+     analysis made when it was installed. *)
   let last : (Program.t option * Uln_buf.View.t option) ref = ref (None, None) in
-  let overlap p =
+  let overlap (installed : Verify.analyzed) =
     match !last with
-    | Some q, r when q == p -> r
+    | Some q, r when q == installed.Verify.program -> r
     | _ ->
         let r =
-          match Verify.overlap_witness program p with
+          match Verify.overlap_witness_analyzed candidate installed with
           | Some witness
             when not
-                   (Verify.subsumes ~general:program ~specific:p
-                   || Verify.subsumes ~general:p ~specific:program) ->
+                   (Verify.subsumes_analyzed ~general:candidate ~specific:installed
+                   || Verify.subsumes_analyzed ~general:installed ~specific:candidate) ->
               Some witness
           | _ -> None
         in
-        last := (Some p, r);
+        last := (Some installed.Verify.program, r);
         r
   in
   List.filter_map
     (fun e ->
       if e.dead then None
       else
-        match overlap e.program with
+        match overlap e.installed with
         | Some witness -> Some { against = e.id; with_endpoint = e.endpoint; witness }
         | None -> None)
     t.entries
@@ -217,7 +222,8 @@ let add_entry t entry =
 
 let install ?(optimize = true) ?(affinity = 0) t program endpoint =
   let optimized = if optimize then Optimize.run program else program in
-  match Verify.admit ?budget:t.budget ~compiled:(t.mode = Compiled) optimized with
+  let verified = Verify.analyzed optimized in
+  match Verify.admit_analyzed ?budget:t.budget ~compiled:(t.mode = Compiled) verified with
   | Error e -> Error e
   | Ok report ->
       let predicate =
@@ -231,7 +237,7 @@ let install ?(optimize = true) ?(affinity = 0) t program endpoint =
         | Compiled -> report.Verify.wcet_compiled
       in
       let exact =
-        let a = Absint.analyze optimized in
+        let a = verified.Verify.absint in
         if a.Absint.r_conjunctive then
           match a.Absint.r_accept_paths with
           | [ ap ] when ap.Absint.ap_exact && ap.Absint.ap_at = None ->
@@ -239,9 +245,10 @@ let install ?(optimize = true) ?(affinity = 0) t program endpoint =
           | _ -> None
         else None
       in
+      let installed = if optimized == program then verified else Verify.analyzed program in
       t.next_id <- t.next_id + 1;
       let entry =
-        { id = t.next_id; program; optimized; predicate; wcet; report; exact; endpoint;
+        { id = t.next_id; installed; optimized; predicate; wcet; report; exact; endpoint;
           affinity; dead = false }
       in
       add_entry t entry;
@@ -297,7 +304,7 @@ let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
             t.next_id <- t.next_id + 1;
             let entry =
               { id = t.next_id;
-                program = te.program;
+                installed = te.installed;
                 optimized = te.optimized;
                 predicate;
                 wcet = te.wcet;

@@ -124,8 +124,8 @@ val install_stamped :
     exact [template] by overriding its byte constraints.  No verifier
     pass runs (the template's certificate covers the stamped program:
     identical structure, identical worst case), and the entry shares the
-    template's program and report, so populating a table with 10^5-10^6
-    connection entries is feasible.  Charged cycle costs are measured
+    template's program, analysis and report, so populating a table with
+    10^5-10^6 connection entries is feasible.  Charged cycle costs are measured
     once from the template's real program: its accept cost, and its
     reject cost on a stamped near-miss packet.  Errors if [template] is
     unknown, removed, or not conjunctive-exact. *)
@@ -144,7 +144,11 @@ val conflicts : 'a t -> Program.t -> 'a conflict list
     shadowing — pairs where either filter {!Verify.subsumes} the other
     (a connection filter under its listener, or an identical re-install
     during connection handoff).  What remains is the
-    eavesdropping/ambiguity hazard the registry must surface. *)
+    eavesdropping/ambiguity hazard the registry must surface.  The
+    candidate is analyzed once per call; installed entries reuse the
+    analysis made at install time, so neither side is re-analyzed per
+    pair.  Same result as {!Verify.overlap_witness} and
+    {!Verify.subsumes} applied to the raw programs entry by entry. *)
 
 val remove : 'a t -> key -> unit
 

@@ -47,10 +47,14 @@ let report_of_absint (a : Absint.result) =
     max_depth = a.Absint.r_max_depth;
     conjunctive = a.Absint.r_conjunctive }
 
+type analyzed = { program : Program.t; absint : Absint.result }
+
+let analyzed program = { program; absint = Absint.analyze program }
+
 let analyze program = report_of_absint (Absint.analyze program)
 
-let admit ?budget ?(compiled = false) program =
-  let r = analyze program in
+let admit_analyzed ?budget ?(compiled = false) a =
+  let r = report_of_absint a.absint in
   if r.vacuity = Always_false then Error Vacuous_always_false
   else
     let wcet = if compiled then r.wcet_compiled else r.wcet_interp in
@@ -58,49 +62,61 @@ let admit ?budget ?(compiled = false) program =
     | Some b when wcet > b -> Error (Over_budget { wcet; budget = b })
     | _ -> Ok r
 
+let admit ?budget ?compiled program = admit_analyzed ?budget ?compiled (analyzed program)
+
 (* --- overlap and subsumption ------------------------------------------- *)
 
-(* Merge two sorted byte-constraint lists; [None] on conflict. *)
+(* Linear merge of two constraint lists sorted by offset; [None] when
+   some offset is pinned to two values, within one list or across the
+   two.  Equal offsets from both lists come out adjacent, so a first
+   pass compares each pair with its predecessor without allocating and
+   stops at the first disagreement; only a consistent pair pays for the
+   second pass, which builds the merged list with duplicates dropped. *)
+let rec consistent (last_o : int) (last_v : int) c1 c2 =
+  match (c1, c2) with
+  | [], [] -> true
+  | (o, v) :: r1, [] | [], (o, v) :: r1 ->
+      (o <> last_o || v = last_v) && consistent o v r1 []
+  | (o1, v1) :: r1, (o2, _) :: _ when o1 <= o2 ->
+      (o1 <> last_o || v1 = last_v) && consistent o1 v1 r1 c2
+  | _, (o2, v2) :: r2 -> (o2 <> last_o || v2 = last_v) && consistent o2 v2 c1 r2
+
+let rec merge_consistent (last_o : int) c1 c2 =
+  let emit o v rest = if o = last_o then rest else (o, v) :: rest in
+  match (c1, c2) with
+  | [], [] -> []
+  | (o, v) :: r1, [] | [], (o, v) :: r1 -> emit o v (merge_consistent o r1 [])
+  | (o1, v1) :: r1, (o2, _) :: _ when o1 <= o2 -> emit o1 v1 (merge_consistent o1 r1 c2)
+  | _, (o2, v2) :: r2 -> emit o2 v2 (merge_consistent o2 c1 r2)
+
 let merge_constraints c1 c2 =
-  let tbl = Hashtbl.create 16 in
-  let add c =
-    List.for_all
-      (fun (o, v) ->
-        match Hashtbl.find_opt tbl o with
-        | Some v' -> v' = v
-        | None ->
-            Hashtbl.replace tbl o v;
-            true)
-      c
-  in
-  if add c1 && add c2 then
-    Some (List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) tbl []))
-  else None
+  if consistent (-1) 0 c1 c2 then Some (merge_consistent (-1) c1 c2) else None
 
 let witness_of ~len constraints =
   let v = View.create len in
   List.iter (fun (o, b) -> if o < len then View.set_uint8 v o b) constraints;
   v
 
-let overlap_witness p1 p2 =
-  let r1 = Absint.analyze p1 and r2 = Absint.analyze p2 in
-  let try_pair (a1 : Absint.accept_path) (a2 : Absint.accept_path) =
-    match merge_constraints a1.Absint.ap_constraints a2.Absint.ap_constraints with
+let overlap_witness_analyzed a1 a2 =
+  let try_pair (p1 : Absint.accept_path) (p2 : Absint.accept_path) =
+    match merge_constraints p1.Absint.ap_constraints p2.Absint.ap_constraints with
     | None -> None
     | Some merged ->
-        let len = Stdlib.max a1.Absint.ap_min_len a2.Absint.ap_min_len in
+        let len = Stdlib.max p1.Absint.ap_min_len p2.Absint.ap_min_len in
         let w = witness_of ~len merged in
         (* The constraint sets may be incomplete ([ap_exact] false), so a
            candidate is only a witness once both programs concretely
            accept it: the flag always comes with a checked packet. *)
-        if Interp.run p1 w && Interp.run p2 w then Some w else None
+        if Interp.run a1.program w && Interp.run a2.program w then Some w else None
   in
   List.find_map
-    (fun a1 -> List.find_map (fun a2 -> try_pair a1 a2) r2.Absint.r_accept_paths)
-    r1.Absint.r_accept_paths
+    (fun p1 -> List.find_map (fun p2 -> try_pair p1 p2) a2.absint.Absint.r_accept_paths)
+    a1.absint.Absint.r_accept_paths
 
-let subsumes ~general ~specific =
-  let rg = Absint.analyze general and rs = Absint.analyze specific in
+let overlap_witness p1 p2 = overlap_witness_analyzed (analyzed p1) (analyzed p2)
+
+let subsumes_analyzed ~general ~specific =
+  let rg = general.absint and rs = specific.absint in
   match (rg.Absint.r_accept_paths, rs.Absint.r_accept_paths) with
   | [ ag ], [ as_ ] when rg.Absint.r_conjunctive && rs.Absint.r_conjunctive ->
       ag.Absint.ap_min_len <= as_.Absint.ap_min_len
@@ -108,6 +124,9 @@ let subsumes ~general ~specific =
            (fun (o, v) -> List.mem (o, v) as_.Absint.ap_constraints)
            ag.Absint.ap_constraints
   | _ -> false
+
+let subsumes ~general ~specific =
+  subsumes_analyzed ~general:(analyzed general) ~specific:(analyzed specific)
 
 (* --- template consistency ---------------------------------------------- *)
 

@@ -28,22 +28,54 @@ exception Rejected of error
 
 val analyze : Program.t -> report
 
+type analyzed = { program : Program.t; absint : Absint.result }
+(** A program with its {!Absint} result.  The [*_analyzed] forms below
+    take these, so a caller that checks one program against many (the
+    demux table's overlap scan) analyzes each program once and keeps the
+    result, instead of re-running the abstract interpreter per pair. *)
+
+val analyzed : Program.t -> analyzed
+(** Run {!Absint.analyze} once and pair the result with its program. *)
+
 val admit : ?budget:int -> ?compiled:bool -> Program.t -> (report, error) result
 (** Admission control: reject always-false programs and, when [budget]
     is given, programs whose worst-case cost (in the mode selected by
-    [compiled], default interpreted) exceeds it. *)
+    [compiled], default interpreted) exceeds it.
+    [admit p] is [admit_analyzed (analyzed p)]. *)
+
+val admit_analyzed : ?budget:int -> ?compiled:bool -> analyzed -> (report, error) result
+(** {!admit} on an already-analyzed program. *)
 
 val overlap_witness : Program.t -> Program.t -> Uln_buf.View.t option
 (** A concrete packet both programs accept, if the analysis can build
     one: candidate packets are synthesized from pairs of accept-path
     constraint sets and checked with the real interpreter, so a [Some]
     is always a true intersection witness.  [None] means provably
-    disjoint {e or} no witness found (the analysis is incomplete). *)
+    disjoint {e or} no witness found (the analysis is incomplete).
+    [overlap_witness p1 p2] is
+    [overlap_witness_analyzed (analyzed p1) (analyzed p2)]. *)
+
+val overlap_witness_analyzed : analyzed -> analyzed -> Uln_buf.View.t option
+(** {!overlap_witness} on already-analyzed programs: same candidates in
+    the same order, so the same witness bytes. *)
 
 val subsumes : general:Program.t -> specific:Program.t -> bool
 (** [true] when every packet [specific] accepts, [general] provably
     accepts too (e.g. a per-connection filter under the listener's
-    port filter).  Only decided within the conjunctive fragment. *)
+    port filter).  Only decided within the conjunctive fragment.
+    [subsumes ~general ~specific] is
+    [subsumes_analyzed ~general:(analyzed general) ~specific:(analyzed specific)]. *)
+
+val subsumes_analyzed : general:analyzed -> specific:analyzed -> bool
+(** {!subsumes} on already-analyzed programs. *)
+
+val merge_constraints : (int * int) list -> (int * int) list -> (int * int) list option
+(** Conjunction of two [(byte offset, value)] constraint lists, each
+    sorted by offset (as {!Absint} produces them): the union sorted by
+    offset with duplicates dropped, or [None] when some offset is
+    pinned to two different values, within one list or across the two.
+    Linear in the total length; a disagreeing pair is rejected without
+    allocating. *)
 
 type template_error =
   | Template_inconsistent of { offset : int }

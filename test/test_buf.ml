@@ -119,6 +119,115 @@ let test_pool_foreign_view_rejected () =
   Alcotest.check_raises "foreign" (Invalid_argument "Pool.free: view does not belong to this pool")
     (fun () -> Pool.free p (View.create 8))
 
+let test_pool_first_alloc_zeroed () =
+  let p = Pool.create ~count:3 ~size:32 in
+  let a = Option.get (Pool.alloc p) in
+  check "full size" 32 (View.length a);
+  check_bool "zero-filled" true (View.to_string a = String.make 32 '\000');
+  (* dirtying one buffer leaves a later slot's first use zero-filled *)
+  View.set_uint8 a 0 0xff;
+  Pool.free p a;
+  let b = Option.get (Pool.alloc p) in
+  check_bool "fresh slot before the freed one" false (a.View.buffer == b.View.buffer);
+  check_bool "fresh slot zero-filled" true (View.to_string b = String.make 32 '\000')
+
+let test_pool_reuse_same_buffer () =
+  let p = Pool.create ~count:1 ~size:16 in
+  let a = Option.get (Pool.alloc p) in
+  View.set_uint8 a 3 7;
+  Pool.free p a;
+  let b = Option.get (Pool.alloc p) in
+  check_bool "physically the same buffer" true (a.View.buffer == b.View.buffer);
+  check "keeps its last contents" 7 (View.get_uint8 b 3)
+
+let test_pool_owns () =
+  let p = Pool.create ~count:4 ~size:8 in
+  let a = Option.get (Pool.alloc p) in
+  check_bool "owns its buffer" true (Pool.owns p a);
+  check_bool "foreign view" false (Pool.owns p (View.create 8));
+  check_bool "empty view" false (Pool.owns p (View.of_bytes Bytes.empty))
+
+let test_pool_errors_with_unprovisioned_slots () =
+  (* three of the four slots never get a buffer *)
+  let p = Pool.create ~count:4 ~size:8 in
+  let a = Option.get (Pool.alloc p) in
+  let foreign = Invalid_argument "Pool.free: view does not belong to this pool" in
+  Alcotest.check_raises "foreign" foreign (fun () -> Pool.free p (View.create 8));
+  Alcotest.check_raises "empty foreign" foreign (fun () -> Pool.free p (View.of_bytes Bytes.empty));
+  Pool.free p a;
+  Alcotest.check_raises "double free" (Invalid_argument "Pool.free: double free") (fun () ->
+      Pool.free p a);
+  check "all four free" 4 (Pool.available p)
+
+(* A pool with every buffer built at [create] and every slot on a FIFO
+   free list: the reference for the counters and the allocation order. *)
+type eager = { e_free : int Queue.t; e_state : bool array; mutable e_exhausted : int }
+
+let eager_create count =
+  let q = Queue.create () in
+  for i = 0 to count - 1 do
+    Queue.push i q
+  done;
+  { e_free = q; e_state = Array.make count true; e_exhausted = 0 }
+
+let eager_alloc e =
+  match Queue.take_opt e.e_free with
+  | None ->
+      e.e_exhausted <- e.e_exhausted + 1;
+      None
+  | Some i ->
+      e.e_state.(i) <- false;
+      Some i
+
+let eager_free e i =
+  e.e_state.(i) <- true;
+  Queue.push i e.e_free
+
+let prop_pool_matches_eager =
+  QCheck.Test.make ~name:"lazy pool = eager pool on alloc/free/exhaust sequences" ~count:500
+    QCheck.(pair (1 -- 6) (list_of_size Gen.(0 -- 40) (option small_nat)))
+    (fun (count, ops) ->
+      let p = Pool.create ~count ~size:8 in
+      let e = eager_create count in
+      (* slot index -> the buffer the lazy pool gave for it *)
+      let slots = Array.make count None in
+      let held = ref [] in
+      let agree () =
+        Pool.capacity p = count
+        && Pool.available p = Queue.length e.e_free
+        && Pool.in_use p = count - Queue.length e.e_free
+        && Pool.exhausted p = e.e_exhausted
+      in
+      List.for_all
+        (fun op ->
+          let same_slot =
+            match op with
+            | None -> (
+                match (Pool.alloc p, eager_alloc e) with
+                | None, None -> true
+                | Some v, Some i ->
+                    held := (v, i) :: !held;
+                    let ok =
+                      match slots.(i) with
+                      | None ->
+                          slots.(i) <- Some v.View.buffer;
+                          View.to_string v = String.make 8 '\000'
+                      | Some b -> b == v.View.buffer
+                    in
+                    View.set_uint8 v 0 (i + 1);
+                    ok
+                | _ -> false)
+            | Some k when !held <> [] ->
+                let v, i = List.nth !held (k mod List.length !held) in
+                held := List.filter (fun (_, j) -> j <> i) !held;
+                Pool.free p v;
+                eager_free e i;
+                true
+            | Some _ -> true
+          in
+          same_slot && agree ())
+        ops)
+
 (* --- ring ------------------------------------------------------------------ *)
 
 let test_ring_fifo () =
@@ -295,7 +404,13 @@ let () =
       ( "pool",
         [ Alcotest.test_case "exhaustion" `Quick test_pool_exhaustion;
           Alcotest.test_case "double free" `Quick test_pool_double_free_rejected;
-          Alcotest.test_case "foreign view" `Quick test_pool_foreign_view_rejected ] );
+          Alcotest.test_case "foreign view" `Quick test_pool_foreign_view_rejected;
+          Alcotest.test_case "first alloc zero-filled" `Quick test_pool_first_alloc_zeroed;
+          Alcotest.test_case "free then alloc reuses" `Quick test_pool_reuse_same_buffer;
+          Alcotest.test_case "owns" `Quick test_pool_owns;
+          Alcotest.test_case "errors with unprovisioned slots" `Quick
+            test_pool_errors_with_unprovisioned_slots;
+          qc prop_pool_matches_eager ] );
       ( "ring",
         [ Alcotest.test_case "fifo" `Quick test_ring_fifo;
           Alcotest.test_case "overflow drops" `Quick test_ring_overflow_drops;

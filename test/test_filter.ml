@@ -503,6 +503,186 @@ let prop_optimizer_preserves_semantics =
           && Interp.run o pkt = reference
           && Compile.compile o pkt = reference)
 
+(* --- admission: stored analyses = per-pair re-analysis ---------------------- *)
+
+(* The constraint merge as it was first written: a table of every
+   offset seen, then a sort.  The reference for the linear merge. *)
+let merge_reference c1 c2 =
+  let tbl = Hashtbl.create 16 in
+  let add c =
+    List.for_all
+      (fun (o, v) ->
+        match Hashtbl.find_opt tbl o with
+        | Some v' -> v' = v
+        | None ->
+            Hashtbl.replace tbl o v;
+            true)
+      c
+  in
+  if add c1 && add c2 then
+    Some (List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) tbl []))
+  else None
+
+(* Few offsets and values, so repeats within and across the two lists
+   (agreeing and disagreeing) are common. *)
+let gen_constraints =
+  let open QCheck.Gen in
+  map
+    (List.stable_sort (fun (a, _) (b, _) -> compare a b))
+    (list_size (0 -- 8) (pair (0 -- 7) (0 -- 2)))
+
+let prop_merge_matches_reference =
+  QCheck.Test.make ~name:"linear constraint merge = table-and-sort merge" ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (pair int int)) (list (pair int int)))
+       (QCheck.Gen.pair gen_constraints gen_constraints))
+    (fun (c1, c2) -> Verify.merge_constraints c1 c2 = merge_reference c1 c2)
+
+let test_merge_repeated_offsets () =
+  let merged = Alcotest.(option (list (pair int int))) in
+  Alcotest.check merged "agreeing repeat within a list" (Some [ (1, 5); (3, 7) ])
+    (Verify.merge_constraints [ (1, 5); (1, 5); (3, 7) ] []);
+  Alcotest.check merged "disagreeing repeat within a list" None
+    (Verify.merge_constraints [ (1, 5); (1, 6) ] [ (3, 7) ]);
+  Alcotest.check merged "agreeing across the lists" (Some [ (1, 5); (2, 0); (3, 7) ])
+    (Verify.merge_constraints [ (1, 5); (3, 7) ] [ (1, 5); (2, 0) ]);
+  Alcotest.check merged "disagreeing across the lists" None
+    (Verify.merge_constraints [ (1, 5); (3, 7) ] [ (2, 0); (3, 8) ])
+
+let push_byte_eq off v rest = Insn.Push_byte off :: Insn.Push_lit v :: Insn.Eq :: rest
+let push_word_eq off v rest = Insn.Push_word off :: Insn.Push_lit v :: Insn.Eq :: rest
+
+(* Hand-built programs whose accept paths pin one byte twice: the word
+   at 12 and the byte at 13 both constrain offset 13, agreeing (0x00) or
+   disagreeing (0x06, an always-false program); a [Cor] program whose
+   two accept paths pin the destination port to different values. *)
+let repeat_agree port =
+  Program.of_insns
+    (push_word_eq 12 0x0800 (Insn.Cand :: push_byte_eq 13 0 (Insn.Cand :: push_word_eq 36 port [])))
+
+let repeat_disagree port =
+  Program.of_insns
+    (push_word_eq 12 0x0800 (Insn.Cand :: push_byte_eq 13 6 (Insn.Cand :: push_word_eq 36 port [])))
+
+let two_ports p1 p2 = Program.of_insns (push_word_eq 36 p1 (Insn.Cor :: push_word_eq 36 p2 []))
+
+let adm_ips = [| ip_a; ip_b |]
+let adm_ports = [| 80; 81; 1234 |]
+
+let gen_filter =
+  let open QCheck.Gen in
+  let ip = map (fun i -> adm_ips.(i)) (0 -- 1) in
+  let port = map (fun i -> adm_ports.(i)) (0 -- 2) in
+  frequency
+    [ (4, map (fun (s, d, (sp, dp)) -> Program.tcp_conn ~src_ip:s ~dst_ip:d ~src_port:sp ~dst_port:dp)
+            (triple ip ip (pair port port)));
+      (2, map2 (fun d p -> Program.tcp_dst_port ~dst_ip:d ~dst_port:p) ip port);
+      (2, map2 (fun d p -> Program.udp_port ~dst_ip:d ~dst_port:p) ip port);
+      (1, map2 (fun d p -> Program.rrp_server ~dst_ip:d ~port:p) ip port);
+      (1, map2 (fun d p -> Program.rrp_client ~dst_ip:d ~port:p) ip port);
+      (1, map repeat_agree port);
+      (1, map repeat_disagree port);
+      (1, map2 two_ports port port);
+      (2,
+        map
+          (fun insns ->
+            match Program.of_insns insns with
+            | p -> p
+            | exception Program.Invalid _ -> Program.arp ())
+          gen_insns) ]
+
+type adm_op =
+  | Install of Program.t * bool  (* program, optimize *)
+  | Stamp of int * int * int  (* template choice, source port, dest port *)
+  | Remove of int  (* live-entry choice *)
+
+let gen_adm_ops =
+  let open QCheck.Gen in
+  list_size (0 -- 24)
+    (frequency
+       [ (6, map2 (fun p o -> Install (p, o)) gen_filter bool);
+         (2, map3 (fun i sp dp -> Stamp (i, sp, dp)) nat (1 -- 0xffff) (1 -- 0xffff));
+         (2, map (fun i -> Remove i) nat) ])
+
+(* Apply the ops to a real table while keeping, per live entry, the raw
+   program the pre-change overlap check compared against (a stamped
+   entry's is its template's).  Newest first, like the table's scan. *)
+let build_admission_table ops =
+  let d = Demux.create ~mode:Demux.Interpreted () in
+  let live = ref [] in
+  let templates = ref [] in
+  let pick l i = List.nth l (i mod List.length l) in
+  List.iteri
+    (fun n op ->
+      match op with
+      | Install (p, optimize) -> (
+          match Demux.install ~optimize d p n with
+          | Ok k ->
+              live := (k, p) :: !live;
+              templates := (k, p) :: !templates
+          | Error _ -> ())
+      | Stamp (i, sp, dp) when !templates <> [] -> (
+          let tk, tp = pick !templates i in
+          let conn = Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:sp ~dst_port:dp in
+          match (Uln_filter.Absint.analyze conn).Uln_filter.Absint.r_accept_paths with
+          | [ ap ] -> (
+              match
+                Demux.install_stamped d ~template:tk ~constraints:ap.Uln_filter.Absint.ap_constraints
+                  ~min_len:ap.Uln_filter.Absint.ap_min_len n
+              with
+              | Ok k -> live := (k, tp) :: !live
+              | Error _ -> () (* the template is not conjunctive-exact *))
+          | _ -> ())
+      | Stamp _ -> ()
+      | Remove i when !live <> [] ->
+          let k, _ = pick !live i in
+          Demux.remove d k;
+          live := List.filter (fun (k', _) -> k' <> k) !live;
+          templates := List.filter (fun (k', _) -> k' <> k) !templates
+      | Remove _ -> ())
+    ops;
+  (d, !live)
+
+let conflicts_reference live candidate =
+  List.filter_map
+    (fun (k, p) ->
+      match Verify.overlap_witness candidate p with
+      | Some w
+        when not
+               (Verify.subsumes ~general:candidate ~specific:p
+               || Verify.subsumes ~general:p ~specific:candidate) ->
+          Some (k, View.to_string w)
+      | _ -> None)
+    live
+
+let prop_conflicts_match_reference =
+  QCheck.Test.make ~name:"Demux.conflicts = per-pair overlap/subsumes on raw programs"
+    ~count:300
+    (QCheck.make (QCheck.Gen.pair gen_adm_ops gen_filter))
+    (fun (ops, candidate) ->
+      let d, live = build_admission_table ops in
+      let got =
+        List.map (fun c -> (c.Demux.against, View.to_string c.Demux.witness)) (Demux.conflicts d candidate)
+      in
+      got = conflicts_reference live candidate)
+
+let test_conflicts_repeated_offsets () =
+  (* Pins the merge's conflict rule end to end against a filter on the
+     source port alone: the agreeing repeat overlaps it; the two-port
+     filter's paths both do; the always-false one meets nothing. *)
+  let d = Demux.create ~mode:Demux.Interpreted () in
+  ignore (Demux.install_exn d (conj_prog [ (12, 0x0800); (34, 99) ]) "src-port-99");
+  let n_conflicts p = List.length (Demux.conflicts d p) in
+  check "agreeing repeat overlaps" 1 (n_conflicts (repeat_agree 80));
+  check "disagreeing repeat is vacuous" 0 (n_conflicts (repeat_disagree 80));
+  check "two-port filter" 1 (n_conflicts (two_ports 81 80));
+  (* The same repeats across two programs: a filter pinning port 80
+     meets the agreeing repeat on port 80, not on port 81. *)
+  let d = Demux.create ~mode:Demux.Interpreted () in
+  ignore (Demux.install_exn d (two_ports 80 80) "port-80-twice");
+  check "agreeing offset across programs" 1 (List.length (Demux.conflicts d (repeat_agree 80)));
+  check "disagreeing offset across programs" 0 (List.length (Demux.conflicts d (repeat_agree 81)))
+
 (* --- template cross-check ------------------------------------------------------ *)
 
 let test_check_template_consistent () =
@@ -552,6 +732,11 @@ let () =
           Alcotest.test_case "redundant load" `Quick test_optimize_redundant_load;
           Alcotest.test_case "standard filters get cheaper" `Quick test_optimize_reduces_standard_filters;
           qc prop_optimizer_preserves_semantics ] );
+      ( "admission",
+        [ Alcotest.test_case "merge: repeated offsets" `Quick test_merge_repeated_offsets;
+          qc prop_merge_matches_reference;
+          Alcotest.test_case "conflicts: repeated offsets" `Quick test_conflicts_repeated_offsets;
+          qc prop_conflicts_match_reference ] );
       ( "template-check",
         [ Alcotest.test_case "consistent pair" `Quick test_check_template_consistent;
           Alcotest.test_case "impersonation hole" `Quick test_check_template_impersonation ] ) ]
