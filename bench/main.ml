@@ -131,9 +131,7 @@ let scale_json (rows : E.scale_row list) =
     (fun (r : E.scale_row) ->
       [ ("conns", jint r.E.sc_conns);
         ("scan_cycles", jfloat r.E.sc_scan_cycles);
-        ("hit_cycles", jfloat r.E.sc_hit_cycles);
-        ("hits", jint r.E.sc_hits);
-        ("misses", jint r.E.sc_misses) ])
+        ("hier_cycles", jfloat r.E.sc_hier_cycles) ])
     rows
 
 let sparse_json (rows : E.sparse_row list) =
@@ -269,7 +267,7 @@ let run_table5 () =
   Format.fprintf ppf "@."
 
 let run_scale ?conns ?pops () =
-  section "Connection scaling (flow-cache demux vs linear scan)";
+  section "Connection scaling (hierarchical demux index vs linear scan)";
   let rows = E.scale ?conns () in
   E.print_scale ppf rows;
   Format.fprintf ppf "@.";
@@ -285,7 +283,7 @@ let run_scale ?conns ?pops () =
 
 (* Populated-server churn: every connect crosses a demux already loaded
    with [population] background connections, with the sharded registry
-   and the hierarchical miss path on (their defaults are the flat/linear
+   and the hierarchical demux index on (their defaults are the flat/linear
    oracles the differential tests pin). *)
 let sparse_churn_rows ?(pops = [ 65536; 262144; 1048576 ]) () =
   let prm =
@@ -762,10 +760,10 @@ let run_ablations () =
   Format.fprintf ppf "   a significant performance advantage)@.";
   Format.fprintf ppf "@.";
   section "Ablation: data-path fast paths (Table 2 cell: userlib/ethernet/4096)";
-  let fastpath_cell ~label ?(flow_cache = false) tcp_params =
+  let fastpath_cell ~label tcp_params =
     let w =
       Uln_core.World.create ~network:Uln_core.World.Ethernet
-        ~org:Uln_core.Organization.User_library ~flow_cache ~tcp_params ()
+        ~org:Uln_core.Organization.User_library ~tcp_params ()
     in
     let r = Uln_workload.Bulk.run ~total_bytes:1_500_000 ~write_size:4096 w in
     Format.fprintf ppf "  %-40s %6.2f Mb/s@." label r.Uln_workload.Bulk.mbps
@@ -776,7 +774,8 @@ let run_ablations () =
     { d with Uln_proto.Tcp_params.header_prediction = false };
   fastpath_cell ~label:"fused copy+checksum off (two passes)"
     { d with Uln_proto.Tcp_params.fused_checksum = false };
-  fastpath_cell ~label:"flow-cache demux on" ~flow_cache:true d;
+  fastpath_cell ~label:"hierarchical demux index on"
+    { d with Uln_proto.Tcp_params.hier_demux = true };
   Format.fprintf ppf
     "  (each fast path is independently switchable; the slow paths are the@.";
   Format.fprintf ppf "   differentially-tested oracles)@.";
@@ -1154,10 +1153,13 @@ let run_smoke () =
         ("paper", "null") ] ];
   let w =
     Uln_core.World.create ~network:Uln_core.World.Ethernet
-      ~org:Uln_core.Organization.User_library ~flow_cache:true ()
+      ~org:Uln_core.Organization.User_library
+      ~tcp_params:
+        { Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.hier_demux = true }
+      ()
   in
   let r = Uln_workload.Bulk.run ~total_bytes:200_000 ~write_size:4096 w in
-  Format.fprintf ppf "  bulk with flow-cache demux on:      %6.2f Mb/s@."
+  Format.fprintf ppf "  bulk with hierarchical demux on:    %6.2f Mb/s@."
     r.Uln_workload.Bulk.mbps;
   let rows = E.scale ~conns:[ 1; 4; 16; 64 ] () in
   E.print_scale ppf rows;

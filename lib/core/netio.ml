@@ -137,11 +137,11 @@ let deliver t ch frame =
   end
   else t.overflows <- t.overflows + 1
 
-let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = false) () =
+let create machine nic ~mode ?(hier = false) ?(napi = false) () =
   let t =
     { machine;
       nic;
-      demux = Demux.create ~mode ~budget:Calibration.filter_cycle_budget ~flow_cache ~hier ();
+      demux = Demux.create ~mode ~budget:Calibration.filter_cycle_budget ~hier ();
       by_bqi = Hashtbl.create 8;
       next_id = 0;
       rejected = 0;
@@ -623,10 +623,10 @@ let inject t ~caller ch frame =
   if not ch.destroyed then deliver t ch frame
 
 (* Re-pin a channel (its library thread moved, or the endpoint was
-   re-installed with a new affinity).  The demux entries are re-tagged —
-   which flushes the flow cache — so no dispatch after this returns can
-   name the old CPU, and the channel's own [affinity] is what [deliver]
-   consults, so queued history cannot steer stale either. *)
+   re-installed with a new affinity).  The demux entries are re-tagged,
+   so no dispatch after this returns can name the old CPU, and the
+   channel's own [affinity] is what [deliver] consults, so queued
+   history cannot steer stale either. *)
 let set_channel_affinity t ch cpu =
   if ch.affinity <> cpu then begin
     ch.affinity <- cpu;
@@ -657,9 +657,5 @@ let ring_overflows t = t.overflows
 let hw_demuxed t = t.hw_demuxed
 let sw_demuxed t = t.sw_demuxed
 let overlap_flags t = t.overlap_flags
-let set_flow_cache t on = Demux.set_flow_cache t.demux on
-let flow_cache_stats t = Demux.cache_stats t.demux
 let channel_id ch = ch.id
-let set_hier t on = Demux.set_hier t.demux on
-let hier_enabled t = Demux.hier_enabled t.demux
 let demux_entries t = Demux.entries t.demux

@@ -26,15 +26,13 @@ val create :
   Uln_host.Machine.t ->
   Uln_net.Nic.t ->
   mode:Uln_filter.Demux.mode ->
-  ?flow_cache:bool ->
   ?hier:bool ->
   ?napi:bool ->
   unit ->
   t
-(** [flow_cache] (default [false]) enables the exact-match flow cache in
-    front of the software filter table; [hier] (default [false]) routes
-    cache misses through the hierarchical index instead of the linear
-    scan (see {!Uln_filter.Demux}).  [napi] (default [false]) installs
+(** [hier] (default [false]) dispatches the software filter table
+    through the hierarchical index instead of the linear scan (see
+    {!Uln_filter.Demux}).  [napi] (default [false]) installs
     NAPI-style interrupt suppression on the NIC
     ({!Uln_net.Nic.t.set_napi}, budget and ring from {!Calibration}) —
     the {!Uln_proto.Tcp_params.int_suppress} ablation. *)
@@ -70,8 +68,8 @@ val channel_affinity : channel -> int
 
 val set_channel_affinity : t -> channel -> int -> unit
 (** Re-pin a channel: subsequent deliveries charge (and wake) on the
-    new CPU, and every demux entry of the channel is re-tagged — which
-    flushes the flow cache, so no dispatch can steer to the old CPU.
+    new CPU, and every demux entry of the channel is re-tagged, so no
+    dispatch can steer to the old CPU.
     The first delivery after a change pays [Costs.cpu_migrate_ns] on
     the new CPU.  A no-op when the index is unchanged, and on a 1-CPU
     machine every index maps to the boot CPU. *)
@@ -329,18 +327,5 @@ val tx_batch_histogram : channel -> (int * int) list
 (** [(batch_size, occurrences)] pairs, ascending — how well doorbell
     coalescing amortized the kernel boundary. *)
 
-val set_hier : t -> bool -> unit
-(** Toggle the hierarchical demux miss path; the index is always
-    maintained, so this only selects which lookup runs (the sparse
-    bench flips it to measure hierarchical vs linear on one table). *)
-
-val hier_enabled : t -> bool
-
 val demux_entries : t -> int
 (** Live entries in the software filter table (O(1)). *)
-
-val set_flow_cache : t -> bool -> unit
-(** Toggle the software-demux flow cache at run time (flushes it). *)
-
-val flow_cache_stats : t -> Uln_filter.Demux.cache_stats
-(** Hit/miss/install/skip/flush counters of the flow cache. *)

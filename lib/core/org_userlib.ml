@@ -6,7 +6,7 @@ type t = {
   tcp_params : Uln_proto.Tcp_params.t option;
 }
 
-let create machine nic ~ip ~mode ?flow_cache ?quota ?tcp_params () =
+let create machine nic ~ip ~mode ?quota ?tcp_params () =
   (* The hierarchical-demux and registry-sharding switches live in
      tcp_params with the other ablations; thread them to the layers
      they configure. *)
@@ -16,7 +16,7 @@ let create machine nic ~ip ~mode ?flow_cache ?quota ?tcp_params () =
   let napi =
     match tcp_params with Some p -> p.Uln_proto.Tcp_params.int_suppress | None -> false
   in
-  let netio = Netio.create machine nic ~mode ?flow_cache ~hier ~napi () in
+  let netio = Netio.create machine nic ~mode ~hier ~napi () in
   let registry = Registry.create machine netio ~ip ?tcp_params ?quota () in
   { machine; netio; registry; ip; tcp_params }
 

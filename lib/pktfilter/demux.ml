@@ -12,15 +12,15 @@ type 'a entry = {
   exact : ((int * int) list * int) option;
       (* [(byte constraints, min length)] when the optimized program is
          conjunctive-exact: it accepts exactly the packets of length
-         >= min that carry those byte values.  The flow cache's key
-         material, derived from the verifier's analysis — and the
-         hierarchical index's partition criterion. *)
+         >= min that carry those byte values.  Derived from the
+         verifier's analysis; the hierarchical index's partition
+         criterion and bucket key. *)
   endpoint : 'a;
   mutable affinity : int;
       (* Receive flow steering: the CPU index this endpoint's traffic
-         should be processed on.  Mutable so a re-install (affinity
-         change mid-connection) updates every view of the entry,
-         including any cached flow, atomically. *)
+         should be processed on.  Mutable and read at dispatch, so a
+         re-install (affinity change mid-connection) is a field update
+         every later dispatch sees. *)
   mutable dead : bool;
       (* Removal tombstone: the priority-ordered [entries] list is
          compacted lazily (amortized O(1) remove); a dead entry is
@@ -31,34 +31,19 @@ type key = int
 
 type 'a conflict = { against : key; with_endpoint : 'a; witness : Uln_buf.View.t }
 
-(* One flow-cache "shape" per distinct constrained-offset set: a hash
-   table keyed by the packet bytes at those offsets.  Shapes are probed
-   in creation order; the soundness rule at cache-install time
-   guarantees at most one cached entry can match any packet, so probe
-   order cannot change the dispatch outcome. *)
-type 'a cached = { c_entry : 'a entry; c_min_len : int }
-
-type 'a shape = {
-  s_offs : int array;  (* sorted byte offsets *)
-  s_max : int;  (* highest offset (length guard) *)
-  s_tbl : (string, 'a cached) Hashtbl.t;
-}
-
 (* The hierarchical index groups every conjunctive-exact entry by its
    constrained-offset set ("shape") and hashes the constraint bytes to a
    bucket of entries; entries whose programs have no exactness proof go
-   to the [residual] list and keep the linear-scan treatment.  Unlike a
-   flow-cache shape a bucket holds a *list* (several filters may pin the
-   same bytes, e.g. a listener and the connections under it), so no
-   shadow-safety proof is needed: dispatch considers every candidate and
-   picks the highest id, exactly what the priority scan would return. *)
-type 'a hshape = {
-  hs_offs : int array;  (* sorted byte offsets *)
-  hs_max : int;  (* highest offset (length guard) *)
-  hs_tbl : (string, 'a entry list ref) Hashtbl.t;
+   to the [residual] list and keep the linear-scan treatment.  A bucket
+   holds a *list* (several filters may pin the same bytes, e.g. a
+   listener and the connections under it): dispatch considers every
+   candidate and picks the highest id, exactly what the priority scan
+   would return. *)
+type 'a shape = {
+  s_offs : int array;  (* sorted byte offsets *)
+  s_max : int;  (* highest offset (length guard) *)
+  s_tbl : (string, 'a entry list ref) Hashtbl.t;
 }
-
-type cache_stats = { hits : int; misses : int; installs : int; skips : int; flushes : int }
 
 type 'a t = {
   mode : mode;
@@ -68,19 +53,12 @@ type 'a t = {
   mutable n_entries : int;  (* live (non-dead) entries *)
   mutable n_dead : int;  (* tombstones awaiting compaction *)
   mutable next_id : int;
-  mutable flow_cache : bool;
   mutable hier : bool;
   mutable shapes : 'a shape list;
-  mutable hshapes : 'a hshape list;
   mutable residual : 'a entry list;  (* inexact entries, priority order *)
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_installs : int;
-  mutable c_skips : int;
-  mutable c_flushes : int;
 }
 
-let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
+let create ~mode ?budget ?(hier = false) () =
   { mode;
     budget;
     entries = [];
@@ -88,47 +66,16 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
     n_entries = 0;
     n_dead = 0;
     next_id = 0;
-    flow_cache;
     hier;
     shapes = [];
-    hshapes = [];
-    residual = [];
-    c_hits = 0;
-    c_misses = 0;
-    c_installs = 0;
-    c_skips = 0;
-    c_flushes = 0 }
+    residual = [] }
 
 let mode t = t.mode
 let budget t = t.budget
-let flow_cache_enabled t = t.flow_cache
-let hier_enabled t = t.hier
-
-let cache_stats t =
-  { hits = t.c_hits;
-    misses = t.c_misses;
-    installs = t.c_installs;
-    skips = t.c_skips;
-    flushes = t.c_flushes }
-
-(* Any table mutation invalidates every cached flow: priorities may have
-   changed (a newly installed filter shadows older ones), so the
-   install-time safety proofs no longer hold. *)
-let flush_cache t =
-  if t.shapes <> [] then begin
-    t.shapes <- [];
-    t.c_flushes <- t.c_flushes + 1
-  end
-
-let set_flow_cache t on =
-  if t.flow_cache <> on then begin
-    flush_cache t;
-    t.flow_cache <- on
-  end
 
 (* The hierarchical index is maintained whether or not it is consulted,
-   so the switch only selects the dispatch path: no flush, and the
-   differential tests can flip it between lookups on the same table. *)
+   so the switch only selects the dispatch path: the differential tests
+   can flip it between lookups on the same table. *)
 let set_hier t on = t.hier <- on
 
 let conflicts t program =
@@ -178,36 +125,36 @@ let hindex_add t (e : 'a entry) =
   | Some (ecs, _) when ecs <> [] ->
       let offs = Array.of_list (List.map fst ecs) in
       let sh =
-        match List.find_opt (fun sh -> sh.hs_offs = offs) t.hshapes with
+        match List.find_opt (fun sh -> sh.s_offs = offs) t.shapes with
         | Some sh -> sh
         | None ->
             let sh =
-              { hs_offs = offs;
-                hs_max = Array.fold_left max 0 offs;
-                hs_tbl = Hashtbl.create 256 }
+              { s_offs = offs;
+                s_max = Array.fold_left max 0 offs;
+                s_tbl = Hashtbl.create 256 }
             in
-            t.hshapes <- t.hshapes @ [ sh ];
+            t.shapes <- t.shapes @ [ sh ];
             sh
       in
       let key = key_of_constraints ecs in
-      (match Hashtbl.find_opt sh.hs_tbl key with
+      (match Hashtbl.find_opt sh.s_tbl key with
       | Some bucket -> bucket := e :: !bucket
-      | None -> Hashtbl.replace sh.hs_tbl key (ref [ e ]))
+      | None -> Hashtbl.replace sh.s_tbl key (ref [ e ]))
   | _ -> t.residual <- e :: t.residual
 
 let hindex_remove t (e : 'a entry) =
   match e.exact with
   | Some (ecs, _) when ecs <> [] -> (
       let offs = Array.of_list (List.map fst ecs) in
-      match List.find_opt (fun sh -> sh.hs_offs = offs) t.hshapes with
+      match List.find_opt (fun sh -> sh.s_offs = offs) t.shapes with
       | None -> ()
       | Some sh -> (
           let key = key_of_constraints ecs in
-          match Hashtbl.find_opt sh.hs_tbl key with
+          match Hashtbl.find_opt sh.s_tbl key with
           | None -> ()
           | Some bucket -> (
               match List.filter (fun g -> g.id <> e.id) !bucket with
-              | [] -> Hashtbl.remove sh.hs_tbl key
+              | [] -> Hashtbl.remove sh.s_tbl key
               | rest -> bucket := rest)))
   | _ -> t.residual <- List.filter (fun g -> g.id <> e.id) t.residual
 
@@ -217,8 +164,7 @@ let add_entry t entry =
   t.entries <- entry :: t.entries;
   Hashtbl.replace t.by_id entry.id entry;
   t.n_entries <- t.n_entries + 1;
-  hindex_add t entry;
-  flush_cache t
+  hindex_add t entry
 
 let install ?(optimize = true) ?(affinity = 0) t program endpoint =
   let optimized = if optimize then Optimize.run program else program in
@@ -334,8 +280,7 @@ let remove t key =
       t.n_entries <- t.n_entries - 1;
       t.n_dead <- t.n_dead + 1;
       hindex_remove t e;
-      if t.n_dead > t.n_entries && t.n_dead > 32 then compact t;
-      flush_cache t
+      if t.n_dead > t.n_entries && t.n_dead > 32 then compact t
 
 let entries t = t.n_entries
 
@@ -343,106 +288,14 @@ let find t key = Hashtbl.find_opt t.by_id key
 
 let affinity t key = Option.map (fun e -> e.affinity) (find t key)
 
-(* An affinity change is semantically an endpoint re-install, so it
-   flushes the flow cache like any other table mutation: no dispatch
-   after [set_affinity] returns — cached or scanned — can steer to the
-   old CPU. *)
+(* Dispatch reads [affinity] from the entry itself, so no dispatch
+   after [set_affinity] returns can steer to the old CPU. *)
 let set_affinity t key cpu =
-  match find t key with
-  | None -> ()
-  | Some e ->
-      if e.affinity <> cpu then begin
-        e.affinity <- cpu;
-        flush_cache t
-      end
+  match find t key with None -> () | Some e -> e.affinity <- cpu
+
 let wcet t key = Option.map (fun e -> e.wcet) (find t key)
 let report t key = Option.map (fun e -> e.report) (find t key)
 let installed_program t key = Option.map (fun e -> e.optimized) (find t key)
-
-(* --- the flow cache ---------------------------------------------------- *)
-
-(* Calibrated probe cost: hashing an n-byte key and comparing it against
-   the bucket entry, modelled at 2 cycles per key byte plus a fixed
-   lookup overhead — small, and independent of the table size (that
-   independence is the point; a test asserts it). *)
-let probe_base_cycles = 16
-let probe_per_byte_cycles = 2
-let probe_cycles sh = probe_base_cycles + (probe_per_byte_cycles * Array.length sh.s_offs)
-
-let key_of_packet offs pkt =
-  String.init (Array.length offs) (fun i ->
-      Char.chr (Uln_buf.View.get_uint8 pkt offs.(i)))
-
-(* Probe each shape in order; the cost accumulates over the shapes
-   actually consulted. *)
-let cache_lookup t pkt =
-  let plen = Uln_buf.View.length pkt in
-  let rec go cost = function
-    | [] -> (None, cost)
-    | sh :: rest ->
-        let cost = cost + probe_cycles sh in
-        let hit =
-          if plen > sh.s_max then
-            match Hashtbl.find_opt sh.s_tbl (key_of_packet sh.s_offs pkt) with
-            | Some c when plen >= c.c_min_len && not c.c_entry.dead -> Some c.c_entry
-            | _ -> None
-          else None
-        in
-        (match hit with Some e -> (Some e, cost) | None -> go cost rest)
-  in
-  go 0 t.shapes
-
-(* A cache entry for [e] is sound only if no higher-priority (more
-   recently installed) filter could accept any packet [e] accepts:
-   otherwise a hit would steal that filter's traffic.  We require every
-   such filter [g] to be conjunctive-exact with a byte constraint that
-   contradicts one of [e]'s — then every packet matching [e]'s key is
-   provably rejected by [g].  Anything weaker (a non-conjunctive [g], or
-   no contradicting byte) skips caching; the linear scan stays correct. *)
-let shadow_safe t (e : 'a entry) ecs =
-  let rec go = function
-    | [] -> false (* e no longer installed *)
-    | g :: rest ->
-        if g.dead then go rest
-        else if g.id = e.id then true
-        else begin
-          match g.exact with
-          | Some (gcs, _) ->
-              List.exists
-                (fun (o, gv) ->
-                  match List.assoc_opt o ecs with Some ev -> ev <> gv | None -> false)
-                gcs
-              && go rest
-          | None -> false
-        end
-  in
-  go t.entries
-
-let cache_insert t (e : 'a entry) =
-  match e.exact with
-  | Some (ecs, min_len) when ecs <> [] && shadow_safe t e ecs ->
-      let offs = Array.of_list (List.map fst ecs) in
-      let key = key_of_constraints ecs in
-      let sh =
-        match
-          List.find_opt (fun sh -> sh.s_offs = offs) t.shapes
-        with
-        | Some sh -> sh
-        | None ->
-            let sh =
-              { s_offs = offs;
-                s_max = offs.(Array.length offs - 1);
-                s_tbl = Hashtbl.create 64 }
-            in
-            t.shapes <- t.shapes @ [ sh ];
-            sh
-      in
-      (match Hashtbl.find_opt sh.s_tbl key with
-      | Some c when c.c_entry.id = e.id -> () (* already cached *)
-      | _ ->
-          Hashtbl.replace sh.s_tbl key { c_entry = e; c_min_len = min_len };
-          t.c_installs <- t.c_installs + 1)
-  | _ -> t.c_skips <- t.c_skips + 1
 
 (* --- dispatch ----------------------------------------------------------- *)
 
@@ -459,6 +312,19 @@ let scan t pkt =
   in
   go 0 t.entries
 
+(* Calibrated probe cost: hashing an n-byte key and comparing it against
+   the bucket, modelled at 2 cycles per key byte plus a fixed lookup
+   overhead — small, and independent of the table size (that
+   independence is the point; a test asserts it). *)
+let probe_base_cycles = 16
+let probe_per_byte_cycles = 2
+
+let probe_cycles sh = probe_base_cycles + (probe_per_byte_cycles * Array.length sh.s_offs)
+
+let key_of_packet offs pkt =
+  String.init (Array.length offs) (fun i ->
+      Char.chr (Uln_buf.View.get_uint8 pkt offs.(i)))
+
 (* Hierarchical lookup.  Soundness relative to [scan]: the linear scan
    returns the *highest-id* acceptor (entries are prepended, so priority
    order is descending id).  Exact-indexed entries accept a packet iff
@@ -474,8 +340,6 @@ let scan t pkt =
    winner.  Cost: one calibrated probe per shape plus any residual
    predicates actually run — independent of the number of exact entries,
    which is the point at 10^5-10^6 connections. *)
-let hprobe_cycles sh = probe_base_cycles + (probe_per_byte_cycles * Array.length sh.hs_offs)
-
 let hier_lookup t pkt =
   let plen = Uln_buf.View.length pkt in
   let best = ref None in
@@ -487,9 +351,9 @@ let hier_lookup t pkt =
   in
   List.iter
     (fun sh ->
-      cost := !cost + hprobe_cycles sh;
-      if plen > sh.hs_max then
-        match Hashtbl.find_opt sh.hs_tbl (key_of_packet sh.hs_offs pkt) with
+      cost := !cost + probe_cycles sh;
+      if plen > sh.s_max then
+        match Hashtbl.find_opt sh.s_tbl (key_of_packet sh.s_offs pkt) with
         | Some bucket ->
             List.iter
               (fun e ->
@@ -497,7 +361,7 @@ let hier_lookup t pkt =
                 if (not e.dead) && plen >= ml then consider e)
               !bucket
         | None -> ())
-    t.hshapes;
+    t.shapes;
   let need_residual =
     match (!best, t.residual) with
     | _, [] -> false
@@ -519,21 +383,7 @@ let hier_lookup t pkt =
   end;
   (!best, !cost)
 
-let lookup t pkt = if t.hier then hier_lookup t pkt else scan t pkt
-
-let dispatch_entry t pkt =
-  if not t.flow_cache then lookup t pkt
-  else begin
-    match cache_lookup t pkt with
-    | Some e, cost ->
-        t.c_hits <- t.c_hits + 1;
-        (Some e, cost)
-    | None, probe_cost ->
-        t.c_misses <- t.c_misses + 1;
-        let e, miss_cost = lookup t pkt in
-        (match e with Some e -> cache_insert t e | None -> ());
-        (e, probe_cost + miss_cost)
-  end
+let dispatch_entry t pkt = if t.hier then hier_lookup t pkt else scan t pkt
 
 let dispatch t pkt =
   let e, cost = dispatch_entry t pkt in

@@ -18,40 +18,25 @@
     ran — an entry that bails at an early [Cand] charges only that
     prefix, not its worst case.
 
-    {2 Flow cache}
+    {2 Hierarchical index}
 
-    With [flow_cache] enabled, the table maintains an exact-match demux
-    cache in front of the linear scan.  When a scan accepts a packet for
-    an entry whose program the verifier's analysis ({!Absint}) proved
-    conjunctive-exact — it accepts exactly the packets carrying specific
-    byte values at specific offsets — those (offset, value) pairs become
-    a hash key and subsequent packets of the flow hit the cache at a
-    small calibrated cost independent of the table size.  An entry is
-    only cached when every more-recently-installed (higher-priority)
-    filter provably rejects all packets matching the key, so a hit can
-    never steal traffic a scan would have delivered elsewhere; filters
-    too complex to prove safe are skipped and simply keep scanning.  Any
-    install or remove flushes the cache.  The cache is off by default —
-    the linear scan is the verification oracle (differentially tested)
-    and the measured baseline.
-
-    {2 Hierarchical miss path}
-
-    With [hier] enabled, a cache miss (or any dispatch when the cache is
-    off) consults a two-level index instead of the linear scan: entries
-    whose programs the verifier proved conjunctive-exact are grouped by
-    constrained-offset shape and hashed on their constraint bytes;
-    entries without an exactness proof stay on a small residual list and
-    run their real predicates in priority order.  The winner is the
-    highest-id acceptor across both groups — provably the entry the
+    With [hier] enabled, dispatch consults a two-level index instead of
+    the linear scan: entries whose programs the verifier's analysis
+    ({!Absint}) proved conjunctive-exact — they accept exactly the
+    packets carrying specific byte values at specific offsets — are
+    grouped by constrained-offset shape and hashed on their constraint
+    bytes; entries without an exactness proof stay on a small residual
+    list and run their real predicates in priority order.  The winner is
+    the highest-id acceptor across both groups — provably the entry the
     priority scan would return, because exactness makes byte-match
-    equivalent to acceptance for every indexed entry (unlike the flow
-    cache, no shadow-safety argument is needed: all candidates are
-    considered, none skipped).  Miss cost becomes one calibrated probe
+    equivalent to acceptance for every indexed entry, and every
+    candidate is considered.  Dispatch cost becomes one calibrated probe
     per shape — independent of the connection count — instead of O(n)
-    filter executions.  The index is maintained even while [hier] is
-    off, so the switch only selects the dispatch path and the linear
-    scan remains available as a differential oracle on the same table. *)
+    filter executions.  The index is updated eagerly on every install
+    and remove and is maintained even while [hier] is off, so the
+    switch only selects the dispatch path and the linear scan — the
+    paper's measured baseline — remains available as a differential
+    oracle on the same table. *)
 
 type 'a t
 (** A table delivering to endpoints of type ['a]. *)
@@ -67,38 +52,20 @@ type 'a conflict = {
   witness : Uln_buf.View.t;  (** a packet both filters accept *)
 }
 
-type cache_stats = {
-  hits : int;  (** dispatches answered by the flow cache *)
-  misses : int;  (** dispatches that fell through to the scan *)
-  installs : int;  (** flows entered into the cache *)
-  skips : int;  (** accepts not cacheable (inexact or shadow-unsafe) *)
-  flushes : int;  (** whole-cache invalidations (install/remove) *)
-}
-
-val create : mode:mode -> ?budget:int -> ?flow_cache:bool -> ?hier:bool -> unit -> 'a t
+val create : mode:mode -> ?budget:int -> ?hier:bool -> unit -> 'a t
 (** [budget] is the per-program worst-case cycle bound enforced at
     {!install} time (in the cost model of [mode]); omitted = unbounded.
-    [flow_cache] (default [false]) enables the exact-match demux cache.
-    [hier] (default [false]) routes misses through the hierarchical
-    index instead of the linear scan. *)
+    [hier] (default [false]) dispatches through the hierarchical index
+    instead of the linear scan. *)
 
 val mode : 'a t -> mode
 val budget : 'a t -> int option
 
-val flow_cache_enabled : 'a t -> bool
-
-val set_flow_cache : 'a t -> bool -> unit
-(** Toggle the flow cache; any change flushes it. *)
-
-val hier_enabled : 'a t -> bool
-
 val set_hier : 'a t -> bool -> unit
-(** Toggle the hierarchical miss path.  The index is always maintained,
+(** Toggle the hierarchical dispatch path.  The index is always maintained,
     so this only selects which lookup runs — flipping it between
     dispatches on a live table is sound (and is exactly what the
     differential tests and the sparse-scale bench do). *)
-
-val cache_stats : 'a t -> cache_stats
 
 val install :
   ?optimize:bool -> ?affinity:int -> 'a t -> Program.t -> 'a -> (key, Verify.error) result
@@ -134,9 +101,9 @@ val affinity : 'a t -> key -> int option
 (** The CPU affinity recorded for an installed entry. *)
 
 val set_affinity : 'a t -> key -> int -> unit
-(** Change an entry's receive-steering affinity.  Semantically an
-    endpoint re-install: the flow cache is flushed, so no subsequent
-    dispatch can report the old CPU. *)
+(** Change an entry's receive-steering affinity.  Dispatch reads the
+    affinity from the entry, so no subsequent dispatch can report the
+    old CPU. *)
 
 val conflicts : 'a t -> Program.t -> 'a conflict list
 (** Installed entries whose accept set provably intersects the given
@@ -165,13 +132,13 @@ val installed_program : 'a t -> key -> Program.t option
 (** The optimized program an entry actually runs. *)
 
 val dispatch : 'a t -> Uln_buf.View.t -> ('a option * int)
-(** [dispatch t pkt] consults the flow cache (when enabled), then runs
-    filters in order until one accepts; returns the endpoint (or
-    [None]) and the simulated cycle cost actually incurred — the probe
-    cost on a cache hit, probe + executed filter instructions on a
-    miss.  {!cache_stats} distinguishes the two. *)
+(** [dispatch t pkt] returns the endpoint of the highest-priority
+    entry accepting [pkt] (or [None]) and the simulated cycle cost
+    actually incurred — the executed filter instructions on the linear
+    scan; the per-shape probes plus any residual filters run on the
+    hierarchical index. *)
 
 val dispatch_steered : 'a t -> Uln_buf.View.t -> (('a * int) option * int)
 (** Like {!dispatch} but also reports the accepting entry's CPU
-    affinity, for receive flow steering.  Identical matching, cost and
-    cache accounting. *)
+    affinity, for receive flow steering.  Identical matching and
+    cost. *)

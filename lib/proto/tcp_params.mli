@@ -94,12 +94,11 @@ type t = {
           Irrelevant (no lock is ever taken) on a 1-CPU machine and in
           the other organizations. *)
   hier_demux : bool;
-      (** Hierarchical demultiplexing of the flow-cache miss path: the
-          network I/O module's table groups conjunctive-exact filters by
-          constrained-offset shape and hashes their constraint bytes, so
-          a miss costs a few calibrated probes independent of the
-          connection count instead of an O(n) scan of every installed
-          filter.  Matching is provably identical ({!Uln_filter.Demux});
+      (** Hierarchical demultiplexing: the network I/O module's table
+          groups conjunctive-exact filters by constrained-offset shape
+          and hashes their constraint bytes, so a dispatch costs a few
+          calibrated probes independent of the connection count instead
+          of an O(n) scan of every installed filter.  Matching is provably identical ({!Uln_filter.Demux});
           [false] (the default) keeps the linear scan as the
           differential oracle and the measured baseline. *)
   shard_registry : bool;

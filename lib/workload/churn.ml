@@ -43,8 +43,8 @@ let run ?(pairs = 2) ?(conns_per_pair = 64) ?(paced_samples = 8) ?(cpus = 1)
   let w = World.create ~network ~org ?tcp_params ~cpus ~num_hosts:(pairs + 1) () in
   let sched = World.sched w in
   (* Sparse mode: the first server host already carries [population]
-     background connection filters, so every churn connect pays the
-     populated miss path (user-library organization only). *)
+     background connection filters, so every churn connect crosses a
+     populated demux (user-library organization only). *)
   if population > 0 then Experiments.populate_background w ~host:1 population;
   for i = 0 to pairs - 1 do
     let accepts = conns_per_pair + if i = 0 then paced_samples else 0 in

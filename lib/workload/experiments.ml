@@ -34,9 +34,7 @@ type t5_row = { t5_interface : string; t5_us : float; t5_paper : float option }
 type scale_row = {
   sc_conns : int;
   sc_scan_cycles : float;
-  sc_hit_cycles : float;
-  sc_hits : int;
-  sc_misses : int;
+  sc_hier_cycles : float;
 }
 
 type zc_row = {
@@ -157,8 +155,8 @@ let setup_breakdown () =
 
 (* --- Table 5 ---------------------------------------------------------- *)
 
-let demux_cost ?(flow_cache = false) ~network ~mode () =
-  let w = World.create ~network ~org:Organization.User_library ~demux_mode:mode ~flow_cache () in
+let demux_cost ?tcp_params ~network ~mode () =
+  let w = World.create ~network ~org:Organization.User_library ~demux_mode:mode ?tcp_params () in
   let _ = Bulk.run ~total_bytes:400_000 ~write_size:1460 w in
   let netio = Option.get (World.netio w 1) in
   (Stats.Dist.mean (Netio.demux_cost_dist netio), Netio.hw_demuxed netio, Netio.sw_demuxed netio)
@@ -170,8 +168,10 @@ let table5 () =
   let sw_compiled, _, _ =
     demux_cost ~network:World.Ethernet ~mode:Uln_filter.Demux.Compiled ()
   in
-  let sw_cached, _, _ =
-    demux_cost ~flow_cache:true ~network:World.Ethernet ~mode:Uln_filter.Demux.Interpreted ()
+  let sw_hier, _, _ =
+    demux_cost
+      ~tcp_params:{ Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.hier_demux = true }
+      ~network:World.Ethernet ~mode:Uln_filter.Demux.Interpreted ()
   in
   (* On AN1 data packets take the hardware path: isolate its mean. *)
   let c = Costs.r3000 in
@@ -183,16 +183,17 @@ let table5 () =
     { t5_interface = "LANCE Ethernet (software filter, compiled) [ablation]";
       t5_us = sw_compiled;
       t5_paper = None };
-    { t5_interface = "LANCE Ethernet (software filter + flow cache) [ablation]";
-      t5_us = sw_cached;
+    { t5_interface = "LANCE Ethernet (software filter + hier index) [ablation]";
+      t5_us = sw_hier;
       t5_paper = None } ]
 
-(* --- connection scaling (flow-cache ablation) -------------------------- *)
+(* --- connection scaling (hierarchical-index ablation) ------------------- *)
 
-(* Two identical filter tables, n installed connection filters each, one
-   with the flow cache: dispatch the same per-flow packets through both,
-   check the endpoints agree, and compare mean dispatch cycles.  The
-   linear scan costs O(table size); warm cache hits are flat. *)
+(* One table, n installed connection filters: dispatch the same per-flow
+   packets down the linear scan and then through the hierarchical index,
+   check every packet reaches its own flow on both paths, and compare
+   mean dispatch cycles.  The scan costs O(table size); the index probe
+   is flat. *)
 let scale ?(conns = [ 1; 4; 16; 64; 256; 1024 ]) () =
   let module F = Uln_filter in
   let module View = Uln_buf.View in
@@ -211,40 +212,29 @@ let scale ?(conns = [ 1; 4; 16; 64; 256; 1024 ]) () =
     v
   in
   let row n =
-    let mk flow_cache =
-      let d = F.Demux.create ~mode:F.Demux.Interpreted ~flow_cache () in
-      for i = 0 to n - 1 do
-        ignore
-          (F.Demux.install_exn d
-             (F.Program.tcp_conn ~src_ip ~dst_ip ~src_port:(port i) ~dst_port:80)
-             i)
-      done;
-      d
-    in
-    let scan_tbl = mk false and cache_tbl = mk true in
-    (* Warm the cache: the first packet of each flow misses and installs. *)
+    let d = F.Demux.create ~mode:F.Demux.Interpreted () in
     for i = 0 to n - 1 do
-      ignore (F.Demux.dispatch cache_tbl (pkt i))
+      ignore
+        (F.Demux.install_exn d
+           (F.Program.tcp_conn ~src_ip ~dst_ip ~src_port:(port i) ~dst_port:80)
+           i)
     done;
     let rounds = Stdlib.max 1 (1024 / n) in
-    let scan_cycles = ref 0 and hit_cycles = ref 0 and count = ref 0 in
-    for _ = 1 to rounds do
-      for i = 0 to n - 1 do
-        let p = pkt i in
-        let e_scan, c_scan = F.Demux.dispatch scan_tbl p in
-        let e_hit, c_hit = F.Demux.dispatch cache_tbl p in
-        if e_scan <> e_hit then failwith "scale: flow cache and linear scan disagree";
-        scan_cycles := !scan_cycles + c_scan;
-        hit_cycles := !hit_cycles + c_hit;
-        incr count
-      done
-    done;
-    let st = F.Demux.cache_stats cache_tbl in
-    { sc_conns = n;
-      sc_scan_cycles = float_of_int !scan_cycles /. float_of_int !count;
-      sc_hit_cycles = float_of_int !hit_cycles /. float_of_int !count;
-      sc_hits = st.F.Demux.hits;
-      sc_misses = st.F.Demux.misses }
+    let count = rounds * n in
+    let sweep hier =
+      F.Demux.set_hier d hier;
+      let total = ref 0 in
+      for _ = 1 to rounds do
+        for i = 0 to n - 1 do
+          match F.Demux.dispatch d (pkt i) with
+          | Some j, c when j = i -> total := !total + c
+          | _ -> failwith "scale: dispatch missed its flow"
+        done
+      done;
+      float_of_int !total /. float_of_int count
+    in
+    let scan_cycles = sweep false in
+    { sc_conns = n; sc_scan_cycles = scan_cycles; sc_hier_cycles = sweep true }
   in
   List.map row conns
 
@@ -333,7 +323,7 @@ let sparse_probe n =
 (* Pre-populate host [host]'s network I/O module with [n] background
    connection filters, stamped from one tcp_conn template.  The
    synthetic flows live on 10.77/16 so live traffic never matches
-   them — they only weigh down the miss path. *)
+   them — they only weigh down the demux. *)
 let populate_background w ~host n =
   let module F = Uln_filter in
   let module Ip = Uln_addr.Ip in
@@ -355,7 +345,7 @@ let populate_background w ~host n =
   done
 
 (* Live setup/delivery latency against a server host whose demux already
-   carries [n] connections: the hierarchical miss path and the sharded
+   carries [n] connections: the hierarchical demux index and the sharded
    registry are on (the linear scan at 64k+ entries costs ~10^8 cycles
    per packet — handshake timers would fire before the SYN cleared the
    table), so the linear comparison comes from {!sparse_probe}. *)
@@ -561,15 +551,13 @@ let print_table5 ppf rows =
 let print_scale ppf rows =
   Format.fprintf ppf
     "@[<v>Connection scaling: software demux cost per packet (simulated cycles)@,";
-  Format.fprintf ppf "%-8s %14s %16s %8s %8s@," "conns" "linear scan" "flow-cache hit" "hits"
-    "misses";
+  Format.fprintf ppf "%-8s %14s %18s@," "conns" "linear scan" "hierarchical index";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-8d %14.1f %16.1f %8d %8d@," r.sc_conns r.sc_scan_cycles
-        r.sc_hit_cycles r.sc_hits r.sc_misses)
+      Format.fprintf ppf "%-8d %14.1f %18.1f@," r.sc_conns r.sc_scan_cycles r.sc_hier_cycles)
     rows;
   Format.fprintf ppf
-    "(scan cost grows with installed connections; warm cache hits stay flat)@,@]"
+    "(scan cost grows with installed connections; the index probe stays flat)@,@]"
 
 let print_zero_copy ppf rows =
   Format.fprintf ppf "@[<v>Zero-copy ablation: userlib bulk throughput, loaning vs copying@,";

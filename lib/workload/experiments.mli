@@ -36,9 +36,7 @@ val sys_name : Uln_core.Organization.t -> string
 type scale_row = {
   sc_conns : int;  (** installed connection filters *)
   sc_scan_cycles : float;  (** mean dispatch cycles, linear scan *)
-  sc_hit_cycles : float;  (** mean dispatch cycles, warm flow cache *)
-  sc_hits : int;
-  sc_misses : int;
+  sc_hier_cycles : float;  (** mean dispatch cycles, hierarchical index *)
 }
 
 type zc_row = {
@@ -68,13 +66,13 @@ val setup_breakdown : unit -> (string * float * float option) list
 
 val table5 : unit -> t5_row list
 (** Demultiplexing cost per packet: LANCE software filter vs AN1
-    hardware BQI, plus the compiled-filter and flow-cache ablation
-    rows. *)
+    hardware BQI, plus the compiled-filter and hierarchical-index
+    ablation rows. *)
 
 val scale : ?conns:int list -> unit -> scale_row list
 (** Demux cost vs number of installed connection filters, linear scan
-    against warm flow cache, the endpoints cross-checked packet by
-    packet.  Default [conns] is [1; 4; 16; 64; 256; 1024]. *)
+    against the hierarchical index on the same table, every dispatch
+    checked to reach its own flow.  Default [conns] is [1; 4; 16; 64; 256; 1024]. *)
 
 type sparse_row = {
   sp_conns : int;  (** installed background connection filters *)

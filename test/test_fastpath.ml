@@ -1,5 +1,5 @@
 (* Differential tests for the data-path fast paths: each optimisation
-   (flow-cache demux, TCP header prediction, fused copy+checksum) is
+   (hierarchical demux index, TCP header prediction, fused copy+checksum) is
    checked against its slow path — the linear scan, the full input state
    machine, the byte-at-a-time checksum — over randomized inputs.  The
    fast paths must be behaviourally invisible. *)
@@ -104,7 +104,7 @@ let prop_encode_with_payload_sum =
       String.equal (Mbuf.to_string fused) (Mbuf.to_string plain)
       && Tcp_wire.decode ~src_ip ~dst_ip fused <> None)
 
-(* --- flow-cache demux vs linear scan ----------------------------------- *)
+(* --- hierarchical demux index vs linear scan ----------------------------- *)
 
 let tcp_pkt ?(len = 54) ~src_ip ~dst_ip ~src_port ~dst_port () =
   let v = View.create len in
@@ -116,15 +116,16 @@ let tcp_pkt ?(len = 54) ~src_ip ~dst_ip ~src_port ~dst_port () =
   if len > 37 then View.set_uint16 v 36 dst_port;
   v
 
-let prop_cache_matches_scan =
-  (* Two tables built by the same random install/remove sequence, one
-     with the flow cache: every dispatch must name the same endpoint. *)
-  QCheck.Test.make ~name:"flow-cache dispatch = linear scan over random tables" ~count:50
+let prop_index_matches_scan =
+  (* One table under a random install/remove sequence mixing ARP,
+     ip_proto, TCP, UDP and RRP filters, probed with well-formed,
+     truncated and random packets: the hierarchical index and the
+     linear scan must name the same endpoint for every dispatch. *)
+  QCheck.Test.make ~name:"index = scan, mixed protocols" ~count:50
     QCheck.(1 -- 1_000_000)
     (fun seed ->
       let rng = Rng.create ~seed in
-      let scan_t = F.Demux.create ~mode:F.Demux.Interpreted () in
-      let cache_t = F.Demux.create ~mode:F.Demux.Interpreted ~flow_cache:true () in
+      let d = F.Demux.create ~mode:F.Demux.Interpreted () in
       let ip i = Ip.make 10 0 0 (1 + (i land 0xf)) in
       let random_prog () =
         match Rng.int rng 6 with
@@ -165,100 +166,88 @@ let prop_cache_matches_scan =
       for _ = 1 to 250 do
         let r = Rng.int rng 100 in
         if r < 12 then begin
-          let p = random_prog () in
-          match (F.Demux.install scan_t p !next_ep, F.Demux.install cache_t p !next_ep) with
-          | Ok k1, Ok k2 ->
+          match F.Demux.install d (random_prog ()) !next_ep with
+          | Ok k ->
               incr next_ep;
-              keys := (k1, k2) :: !keys
-          | Error _, Error _ -> ()
-          | _ -> ok := false
+              keys := k :: !keys
+          | Error _ -> ()
         end
         else if r < 18 && !keys <> [] then begin
           let n = Rng.int rng (List.length !keys) in
-          let k1, k2 = List.nth !keys n in
-          F.Demux.remove scan_t k1;
-          F.Demux.remove cache_t k2;
+          F.Demux.remove d (List.nth !keys n);
           keys := List.filteri (fun i _ -> i <> n) !keys
         end
         else begin
           let pkt = random_pkt () in
-          let e1, _ = F.Demux.dispatch scan_t pkt in
-          let e2, _ = F.Demux.dispatch cache_t pkt in
+          F.Demux.set_hier d false;
+          let e1, _ = F.Demux.dispatch d pkt in
+          F.Demux.set_hier d true;
+          let e2, _ = F.Demux.dispatch d pkt in
           if e1 <> e2 then ok := false
         end
       done;
-      let st = F.Demux.cache_stats cache_t in
-      !ok && st.F.Demux.hits + st.F.Demux.misses > 0)
+      !ok)
 
-let test_hit_cost_flat () =
-  (* The acceptance criterion: per-packet cache-hit cycles identical at
-     4 and at 256 installed connections, while the scan cost grows. *)
+let test_index_cost_flat () =
+  (* Per-packet hierarchical dispatch cycles identical at 4 and at 256
+     installed connections, while the scan cost grows. *)
   match E.scale ~conns:[ 4; 256 ] () with
   | [ r4; r256 ] ->
-      check_bool "hits at 4 conns" true (r4.E.sc_hits > 0);
-      check_bool "hits at 256 conns" true (r256.E.sc_hits > 0);
       Alcotest.(check (float 0.0))
-        "equal per-packet hit cycles at 4 vs 256 conns" r4.E.sc_hit_cycles r256.E.sc_hit_cycles;
+        "equal per-packet index cycles at 4 vs 256 conns" r4.E.sc_hier_cycles
+        r256.E.sc_hier_cycles;
       check_bool "scan cost grows with table size" true
         (r256.E.sc_scan_cycles > 4.0 *. r4.E.sc_scan_cycles);
-      check_bool "warm hits beat the scan" true (r256.E.sc_hit_cycles < r4.E.sc_scan_cycles)
+      check_bool "the index beats the scan" true (r256.E.sc_hier_cycles < r4.E.sc_scan_cycles)
   | _ -> Alcotest.fail "scale returned unexpected rows"
 
-let test_cache_invalidation () =
-  let d = F.Demux.create ~mode:F.Demux.Interpreted ~flow_cache:true () in
+let test_index_cost_stable_across_mutation () =
+  (* The index is updated eagerly, so the dispatch right after an
+     install or a remove costs exactly what it did before: there is no
+     cold path to re-warm. *)
+  let d = F.Demux.create ~mode:F.Demux.Interpreted ~hier:true () in
   let src_ip = Ip.make 10 0 0 2 and dst_ip = Ip.make 10 0 0 1 in
-  let conn = F.Program.tcp_conn ~src_ip ~dst_ip ~src_port:1234 ~dst_port:80 in
-  let _k = F.Demux.install_exn d conn `Conn in
-  let pkt = tcp_pkt ~src_ip ~dst_ip ~src_port:1234 ~dst_port:80 () in
-  let hit_of () = (F.Demux.cache_stats d).F.Demux.hits in
-  check "first dispatch misses" 0 (hit_of ());
-  ignore (F.Demux.dispatch d pkt);
-  check "miss installs, no hit yet" 0 (hit_of ());
-  ignore (F.Demux.dispatch d pkt);
-  check "second dispatch hits" 1 (hit_of ());
-  (* An install flushes: the next dispatch misses again. *)
-  let k2 = F.Demux.install_exn d (F.Program.arp ()) `Arp in
-  ignore (F.Demux.dispatch d pkt);
-  check "flush after install" 1 (hit_of ());
-  check_bool "flush counted" true ((F.Demux.cache_stats d).F.Demux.flushes >= 1);
-  ignore (F.Demux.dispatch d pkt);
-  check "re-warmed" 2 (hit_of ());
-  (* A remove flushes too. *)
-  F.Demux.remove d k2;
-  ignore (F.Demux.dispatch d pkt);
-  check "flush after remove" 2 (hit_of ());
-  (* Turning the cache off restores pure scan dispatch. *)
-  F.Demux.set_flow_cache d false;
-  ignore (F.Demux.dispatch d pkt);
-  check "no hits with cache off" 2 (hit_of ())
+  let conn port = F.Program.tcp_conn ~src_ip ~dst_ip ~src_port:port ~dst_port:80 in
+  for port = 1000 to 1015 do
+    ignore (F.Demux.install_exn d (conn port) port)
+  done;
+  let pkt = tcp_pkt ~src_ip ~dst_ip ~src_port:1003 ~dst_port:80 () in
+  let dispatch () =
+    match F.Demux.dispatch d pkt with
+    | Some 1003, c -> c
+    | _ -> Alcotest.fail "packet not delivered to its connection"
+  in
+  let steady = dispatch () in
+  let k = F.Demux.install_exn d (conn 2000) 2000 in
+  check "same cost right after an install" steady (dispatch ());
+  F.Demux.remove d k;
+  check "same cost right after a remove" steady (dispatch ())
 
-let test_shadowed_filter_not_cached () =
-  (* A broad listener filter installed before a connection filter: the
-     connection filter shadows it (most-recent-first), so the broad
-     filter's accepts must never enter the cache — a cached dport-only
-     key would steal the connection's packets. *)
-  let d = F.Demux.create ~mode:F.Demux.Interpreted ~flow_cache:true () in
-  let oracle = F.Demux.create ~mode:F.Demux.Interpreted () in
+let test_listener_under_connection () =
+  (* A listener and a connection under it pin overlapping bytes: both
+     land in the index, and the packet must go to whichever the
+     priority scan picks — the connection when it was installed last,
+     the listener when it shadows an older connection. *)
   let src_ip = Ip.make 10 0 0 2 and dst_ip = Ip.make 10 0 0 1 in
   let listen = F.Program.tcp_dst_port ~dst_ip ~dst_port:80 in
   let conn = F.Program.tcp_conn ~src_ip ~dst_ip ~src_port:1234 ~dst_port:80 in
-  ignore (F.Demux.install_exn d listen `Listen);
-  ignore (F.Demux.install_exn d conn `Conn);
-  ignore (F.Demux.install_exn oracle listen `Listen);
-  ignore (F.Demux.install_exn oracle conn `Conn);
   let conn_pkt = tcp_pkt ~src_ip ~dst_ip ~src_port:1234 ~dst_port:80 () in
   let other_pkt = tcp_pkt ~src_ip ~dst_ip ~src_port:999 ~dst_port:80 () in
-  for _ = 1 to 4 do
+  let check_order label order want_conn_pkt =
+    let d = F.Demux.create ~mode:F.Demux.Interpreted () in
+    List.iter (fun (p, ep) -> ignore (F.Demux.install_exn d p ep)) order;
     List.iter
-      (fun pkt ->
-        let e1, _ = F.Demux.dispatch d pkt in
-        let e2, _ = F.Demux.dispatch oracle pkt in
-        check_bool "cache agrees with scan under shadowing" true (e1 = e2))
-      [ conn_pkt; other_pkt ]
-  done;
-  let st = F.Demux.cache_stats d in
-  check_bool "connection flow was cached" true (st.F.Demux.hits > 0);
-  check_bool "shadow-unsafe accepts were skipped" true (st.F.Demux.skips > 0)
+      (fun (pkt, want) ->
+        F.Demux.set_hier d false;
+        let scan, _ = F.Demux.dispatch d pkt in
+        F.Demux.set_hier d true;
+        let hier, _ = F.Demux.dispatch d pkt in
+        check_bool (label ^ ": scan picks the expected endpoint") true (scan = Some want);
+        check_bool (label ^ ": index agrees with scan") true (hier = scan))
+      [ (conn_pkt, want_conn_pkt); (other_pkt, `Listen) ]
+  in
+  check_order "connection installed last" [ (listen, `Listen); (conn, `Conn) ] `Conn;
+  check_order "listener installed last" [ (conn, `Conn); (listen, `Listen) ] `Listen
 
 (* --- TCP header prediction vs the full state machine ------------------- *)
 
@@ -646,12 +635,13 @@ let () =
           qc prop_blit_sum;
           qc prop_peek_sum;
           qc prop_encode_with_payload_sum ] );
-      ( "flow-cache",
-        [ qc prop_cache_matches_scan;
-          Alcotest.test_case "hit cost flat in table size" `Quick test_hit_cost_flat;
-          Alcotest.test_case "invalidation on install/remove" `Quick test_cache_invalidation;
-          Alcotest.test_case "shadow-unsafe accepts skipped" `Quick
-            test_shadowed_filter_not_cached ] );
+      ( "hier-index",
+        [ qc prop_index_matches_scan;
+          Alcotest.test_case "cost flat in table size" `Quick test_index_cost_flat;
+          Alcotest.test_case "stable after install/remove" `Quick
+            test_index_cost_stable_across_mutation;
+          Alcotest.test_case "listener under connection" `Quick
+            test_listener_under_connection ] );
       ( "header-prediction",
         [ Alcotest.test_case "transparent on a clean link" `Quick
             test_prediction_transparent_clean_link;

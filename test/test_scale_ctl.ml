@@ -1,7 +1,7 @@
 (* Million-connection control plane: per-tenant quota admission (typed
    and recoverable), the sharded registry against the flat-table oracle
    under random connect/close/churn interleavings, the hierarchical
-   demux miss path against the linear-scan oracle, and the quickselect
+   demux index against the linear-scan oracle, and the quickselect
    percentile helper against a sort-based reference. *)
 
 module Sched = Uln_engine.Sched

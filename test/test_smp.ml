@@ -22,6 +22,7 @@ module Sockets = Uln_core.Sockets
 module Organization = Uln_core.Organization
 module Protolib = Uln_core.Protolib
 module Smp = Uln_workload.Smp
+module Tcp_params = Uln_proto.Tcp_params
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -232,34 +233,34 @@ let test_demux_affinity_recorded () =
   Alcotest.(check (option int)) "default affinity 0" (Some 0) (F.Demux.affinity d k2)
 
 let test_demux_set_affinity_never_stale () =
-  (* The stale-CPU hazard lives in the flow cache: prime it, re-pin the
-     entry, and every subsequent steered dispatch must report the new
-     CPU. *)
-  let d = F.Demux.create ~mode:F.Demux.Interpreted ~flow_cache:true () in
+  (* Dispatch through the hierarchical index, re-pin the entry, and
+     every subsequent steered dispatch must report the new CPU: the
+     index holds the entry itself, never a copy of its affinity. *)
+  let d = F.Demux.create ~mode:F.Demux.Interpreted ~hier:true () in
   let prog =
     F.Program.tcp_conn ~src_ip:(Ip.of_string "10.0.0.1")
       ~dst_ip:(Ip.of_string "10.0.0.2") ~src_port:1234 ~dst_port:80
   in
   let key = F.Demux.install_exn ~affinity:1 d prog "conn" in
   let pkt = tcp_pkt ~src_port:1234 ~dst_port:80 in
-  for _ = 1 to 3 do
-    ignore (F.Demux.dispatch_steered d pkt)
-  done;
-  check_bool "flow cached" true ((F.Demux.cache_stats d).F.Demux.hits > 0);
+  (match F.Demux.dispatch_steered d pkt with
+  | Some (_, aff), _ -> check "steered to the installed CPU" 1 aff
+  | None, _ -> Alcotest.fail "packet not matched");
   F.Demux.set_affinity d key 3;
   (match F.Demux.dispatch_steered d pkt with
-  | Some (_, aff), _ -> check "no stale CPU from the cache" 3 aff
+  | Some (_, aff), _ -> check "no stale CPU after the re-pin" 3 aff
   | None, _ -> Alcotest.fail "packet not matched");
   Alcotest.(check (option int)) "accessor agrees" (Some 3) (F.Demux.affinity d key)
 
 let prop_demux_affinity_tracks_set_affinity =
-  (* Random interleavings of dispatches and re-pins, cache on: the
-     steered CPU must always be the most recently set one. *)
+  (* Random interleavings of dispatches and re-pins through the
+     hierarchical index: the steered CPU must always be the most
+     recently set one. *)
   QCheck.Test.make ~name:"dispatch_steered never reports a stale affinity" ~count:50
     QCheck.(pair (1 -- 1_000_000) (list_of_size Gen.(1 -- 30) (0 -- 7)))
     (fun (seed, pins) ->
       let rng = Rng.create ~seed in
-      let d = F.Demux.create ~mode:F.Demux.Interpreted ~flow_cache:true () in
+      let d = F.Demux.create ~mode:F.Demux.Interpreted ~hier:true () in
       let prog =
         F.Program.tcp_conn ~src_ip:(Ip.of_string "10.0.0.1")
           ~dst_ip:(Ip.of_string "10.0.0.2") ~src_port:1234 ~dst_port:80
@@ -269,8 +270,8 @@ let prop_demux_affinity_tracks_set_affinity =
       let current = ref 0 in
       List.for_all
         (fun pin ->
-          (* A few dispatches (some of which prime or hit the cache),
-             then a re-pin, then a dispatch that must see the new CPU. *)
+          (* A few dispatches, then a re-pin, then a dispatch that must
+             see the new CPU. *)
           let ok = ref true in
           for _ = 0 to Rng.int rng 3 do
             match F.Demux.dispatch_steered d pkt with
@@ -458,11 +459,12 @@ let test_bkl_contention_visible () =
 let test_affinity_change_mid_connection () =
   (* The inetd handoff re-pins a live connection's channel to the new
      library's CPU (Netio.set_channel_affinity + Demux.set_affinity
-     mid-stream, flow cache on): the stream must survive with no bytes
-     lost to a stale CPU's ring. *)
+     mid-stream, hierarchical demux on): the stream must survive with no
+     bytes lost to a stale CPU's ring. *)
   let w =
-    World.create ~cpus:4 ~flow_cache:true ~network:World.Ethernet
-      ~org:Organization.User_library ()
+    World.create ~cpus:4
+      ~tcp_params:{ Tcp_params.default with Tcp_params.hier_demux = true }
+      ~network:World.Ethernet ~org:Organization.User_library ()
   in
   let sched = World.sched w in
   let inetd = Option.get (World.library ~cpu:1 w ~host:1 "inetd") in
@@ -523,7 +525,7 @@ let () =
             test_forward_order_clean ] );
       ( "steering",
         [ Alcotest.test_case "affinity recorded" `Quick test_demux_affinity_recorded;
-          Alcotest.test_case "re-pin flushes cache" `Quick test_demux_set_affinity_never_stale;
+          Alcotest.test_case "re-pin never stale" `Quick test_demux_set_affinity_never_stale;
           QCheck_alcotest.to_alcotest prop_demux_affinity_tracks_set_affinity;
           Alcotest.test_case "mid-connection re-pin" `Quick
             test_affinity_change_mid_connection ] );
