@@ -769,9 +769,7 @@ let run_ablations () =
     Format.fprintf ppf "  %-40s %6.2f Mb/s@." label r.Uln_workload.Bulk.mbps
   in
   let d = Uln_proto.Tcp_params.default in
-  fastpath_cell ~label:"baseline (prediction + fused checksum)" d;
-  fastpath_cell ~label:"header prediction off"
-    { d with Uln_proto.Tcp_params.header_prediction = false };
+  fastpath_cell ~label:"baseline (fused checksum)" d;
   fastpath_cell ~label:"fused copy+checksum off (two passes)"
     { d with Uln_proto.Tcp_params.fused_checksum = false };
   fastpath_cell ~label:"hierarchical demux index on"

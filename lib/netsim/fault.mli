@@ -1,8 +1,19 @@
 (** Link fault injection.
 
     A fault model decides, per frame, whether to deliver, drop,
-    duplicate, corrupt (flip one payload byte, so checksums catch it)
-    or delay-reorder.  Deterministic given the generator's seed. *)
+    duplicate, corrupt (invert one payload byte) or delay-reorder.
+    Deterministic given the generator's seed.
+
+    The link models no frame check sequence, so a corrupted frame is
+    always delivered and only the receiving protocol can notice.  In
+    an IP frame the IPv4 header checksum and the TCP, UDP, ICMP and RRP
+    checksums, all verified on input, detect any one inverted byte of
+    what they cover, and the datagram is dropped.  (One exception
+    loses no data: a UDP checksum field the flip turns into zero reads
+    as "no checksum", and the datagram is accepted intact.)  Nothing
+    catches an inverted byte in an ARP packet, which carries no
+    checksum: the corrupted request or reply is processed as genuine,
+    and its sender addresses are learned. *)
 
 type t
 

@@ -17,7 +17,6 @@ type t = {
   keepalive : Time.span option;
   keepalive_interval : Time.span;
   keepalive_probes : int;
-  header_prediction : bool;
   fused_checksum : bool;
   zero_copy : bool;
   channel_pool : bool;
@@ -56,7 +55,6 @@ let default =
     keepalive = None;
     keepalive_interval = Time.sec 75;
     keepalive_probes = 9;
-    header_prediction = true;
     fused_checksum = true;
     zero_copy = false;
     channel_pool = false;
@@ -137,10 +135,7 @@ type switch = {
 }
 
 let switches =
-  [ { sw_field = "header_prediction";
-      sw_oracle = "test/test_fastpath.ml:prop_prediction_equivalent_under_faults";
-      sw_bench_row = "bulk userlib/ethernet/4096" };
-    { sw_field = "fused_checksum";
+  [ { sw_field = "fused_checksum";
       sw_oracle = "test/test_fastpath.ml:prop_fused_checksum_survives_corruption";
       sw_bench_row = "bulk userlib/ethernet/4096" };
     { sw_field = "zero_copy";

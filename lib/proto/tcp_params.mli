@@ -33,13 +33,6 @@ type t = {
           connection is dropped *)
   keepalive_interval : Uln_engine.Time.span;  (** spacing between probes *)
   keepalive_probes : int;
-  header_prediction : bool;
-      (** Van Jacobson header prediction: in ESTABLISHED, segments that
-          are exactly the next expected in-order ACK or data, with no
-          flags beyond ACK(+PSH) and no window change, take a short fast
-          path that bypasses the full input state machine.  Behaviour is
-          identical (differentially tested); [false] is the ablation
-          oracle. *)
   fused_checksum : bool;
       (** Compute the transmit checksum during the copy out of the send
           buffer (one pass, charged at

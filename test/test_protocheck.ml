@@ -38,6 +38,93 @@ let test_locks_seeded_cycle_fails () =
   check_bool "inverted edge detected" true (has_failure fs "lock-monotone");
   check_bool "cycle detected" true (has_failure fs "lock-acyclic")
 
+(* --- the switch lint, on the real tree and on seeded fixtures ---------- *)
+
+(* The tree the switch lint reads: the build directory under dune (the
+   sources are declared deps), or the repository root when a test binary
+   is run by hand from there. *)
+let tree_root =
+  lazy
+    (match
+       List.find_opt
+         (fun r ->
+           Sys.file_exists (Filename.concat r "lib/proto/tcp_params.ml")
+           && Sys.file_exists (Filename.concat r "bench/main.ml"))
+         [ ".."; "." ]
+     with
+    | Some r -> r
+    | None -> Alcotest.fail "tcp_params.ml / bench/main.ml not found from the test directory")
+
+let tree_file rel = Filename.concat (Lazy.force tree_root) rel
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A temporary copy of [contents]; removed after [f] runs. *)
+let with_fixture contents f =
+  let path = Filename.temp_file "protocheck" ".ml" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let switch_lint ?params ?bench () =
+  PC.run
+    ~sources:
+      ( Option.value params ~default:(tree_file "lib/proto/tcp_params.ml"),
+        Option.value bench ~default:(tree_file "bench/main.ml"),
+        Lazy.force tree_root )
+    ()
+
+(* [src] with its line [line] replaced by [by]. *)
+let replace_line src ~line ~by =
+  let lines = String.split_on_char '\n' src in
+  if not (List.mem line lines) then Alcotest.failf "fixture: no line %S" line;
+  String.concat "\n" (List.map (fun l -> if l = line then by else l) lines)
+
+let count_passes findings name =
+  List.length (List.filter (fun f -> f.PC.f_ok && f.PC.f_check = name) findings)
+
+let test_switches_green () =
+  let fs = switch_lint () in
+  check_bool "switch lint passes on the real tree" true (PC.ok fs);
+  Alcotest.(check int) "registered switches" 18 (List.length Uln_proto.Tcp_params.switches);
+  Alcotest.(check int) "oracles found" 18 (count_passes fs "switch-oracle");
+  Alcotest.(check int) "bench rows found" 18 (count_passes fs "switch-bench")
+
+let test_switches_seeded_stale_entry_fails () =
+  (* Deleting a field while its registry entry stays behind. *)
+  let src =
+    replace_line (read_file (tree_file "lib/proto/tcp_params.ml")) ~line:"  pacing : bool;" ~by:""
+  in
+  with_fixture src (fun params ->
+      let fs = switch_lint ~params () in
+      check_bool "stale entry detected" true
+        (List.exists
+           (fun f ->
+             (not f.PC.f_ok) && f.PC.f_check = "switch-registry"
+             && String.starts_with ~prefix:"registry entries for nonexistent fields: pacing"
+                  f.PC.f_detail)
+           fs))
+
+let test_switches_seeded_unregistered_fails () =
+  (* A new boolean switch added without an oracle or bench row. *)
+  let src =
+    replace_line (read_file (tree_file "lib/proto/tcp_params.ml")) ~line:"  pacing : bool;"
+      ~by:"  pacing : bool;\n  seeded_switch : bool;"
+  in
+  with_fixture src (fun params ->
+      let fs = switch_lint ~params () in
+      check_bool "unregistered field detected" true
+        (List.exists
+           (fun f ->
+             (not f.PC.f_ok) && f.PC.f_check = "switch-registry"
+             && f.PC.f_detail = "switch fields with no oracle/bench registration: seeded_switch")
+           fs))
+
+let test_switches_seeded_empty_bench_fails () =
+  with_fixture "" (fun bench ->
+      let fs = switch_lint ~bench () in
+      check_bool "missing bench rows detected" true (has_failure fs "switch-bench");
+      check_bool "registry untouched" false (has_failure fs "switch-registry"))
+
 (* --- witness linearity and typed flows -------------------------------- *)
 
 let test_witness_linear () =
@@ -143,7 +230,14 @@ let () =
             test_fsm_seeded_unhandled_fails;
           Alcotest.test_case "lock checks green" `Quick test_locks_green;
           Alcotest.test_case "seeded lock cycle fails" `Quick
-            test_locks_seeded_cycle_fails ] );
+            test_locks_seeded_cycle_fails;
+          Alcotest.test_case "switch checks green" `Quick test_switches_green;
+          Alcotest.test_case "seeded stale switch entry fails" `Quick
+            test_switches_seeded_stale_entry_fails;
+          Alcotest.test_case "seeded unregistered switch fails" `Quick
+            test_switches_seeded_unregistered_fails;
+          Alcotest.test_case "seeded empty bench source fails" `Quick
+            test_switches_seeded_empty_bench_fails ] );
       ( "witnesses",
         [ Alcotest.test_case "witnesses are linear" `Quick test_witness_linear;
           Alcotest.test_case "wrong-source refused" `Quick test_packed_wrong_source;
