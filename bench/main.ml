@@ -854,8 +854,17 @@ let run_contention () =
    (off), the sequential setup path must regenerate the committed
    tables byte-for-byte, and the SMP and shared-segment sweeps their
    committed files.  The sim is deterministic, so any drift means a
-   switch leaked into the default path or a result went stale. *)
-let run_diffcheck () =
+   switch leaked into the default path or a result went stale.  With
+   [targets] empty every gated file is compared; otherwise only the
+   named ones, so each file can be checked (and cached) on its own. *)
+let diffcheck_targets =
+  [ ("table2", fun () -> t2_json (E.table2 ()));
+    ("table3", fun () -> t3_json (E.table3 ()));
+    ("table4", fun () -> t4_json (E.table4 ()));
+    ("smp", fun () -> smp_json (smp_rows ()));
+    ("contention", fun () -> contention_json (contention_rows ())) ]
+
+let run_diffcheck targets =
   section "Differential check (fast-path switches off vs committed results)";
   let read_file f =
     let ic = open_in_bin f in
@@ -876,11 +885,20 @@ let run_diffcheck () =
       Format.fprintf ppf "  %-10s MISMATCH vs committed %s@." target file
     end
   in
-  check "table2" (json_contents "table2" (t2_json (E.table2 ())));
-  check "table3" (json_contents "table3" (t3_json (E.table3 ())));
-  check "table4" (json_contents "table4" (t4_json (E.table4 ())));
-  check "smp" (json_contents "smp" (smp_json (smp_rows ())));
-  check "contention" (json_contents "contention" (contention_json (contention_rows ())));
+  let selected =
+    if targets = [] then diffcheck_targets
+    else
+      List.map
+        (fun target ->
+          match List.assoc_opt target diffcheck_targets with
+          | Some rows -> (target, rows)
+          | None ->
+              Format.eprintf "diffcheck: unknown target %s (expected %s)@." target
+                (String.concat "|" (List.map fst diffcheck_targets));
+              exit 1)
+        targets
+  in
+  List.iter (fun (target, rows) -> check target (json_contents target (rows ()))) selected;
   Format.fprintf ppf "@.";
   if !failures > 0 then exit 1
 
@@ -1267,7 +1285,7 @@ let () =
   | "rpc" -> run_rpc ()
   | "overload" -> run_overload ()
   | "tx" -> run_tx ()
-  | "diffcheck" -> run_diffcheck ()
+  | "diffcheck" -> run_diffcheck (List.tl targets)
   | "all" ->
       run_table1 ();
       run_table2 ();
@@ -1290,6 +1308,7 @@ let () =
   | other ->
       Format.eprintf
         "unknown argument %s (expected [--json] \
-         all|table1..table5|figures|ablations|motivation|contention|filteropt|scale|smp|smoke|churn|wan|rpc|overload|tx|diffcheck|micro)@."
+         all|table1..table5|figures|ablations|motivation|contention|filteropt|scale|smp|smoke|churn|wan|rpc|overload|tx|diffcheck \
+         [TARGET...]|micro)@."
         other;
       exit 1

@@ -32,12 +32,15 @@ let push_string t s =
   Bytes.blit_string s 0 t.data (t.head + t.len) n;
   t.len <- t.len + n
 
-let push t v = push_string t (View.to_string v)
+let push t (v : View.t) =
+  ensure t v.len;
+  Bytes.blit v.buffer v.off t.data (t.head + t.len) v.len;
+  t.len <- t.len + v.len
 
 let peek t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then
     raise (View.Bounds "Bytequeue.peek: range exceeds queue");
-  View.of_string (Bytes.sub_string t.data (t.head + off) len)
+  View.of_bytes (Bytes.sub t.data (t.head + off) len)
 
 let peek_sum t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then

@@ -50,8 +50,8 @@ let peek t ~off ~len =
    across fragment boundaries: when the running parity is odd, the first
    byte of the next fragment is the low byte completing the previous
    word; the remainder is summed word-at-a-time (same composition as the
-   protocol checksum's [partial]).  Equals [View.sum16] over the
-   flattened range, so an odd-length fragment mid-chain is handled
+   protocol checksum's [partial]).  Once folded, equals [View.sum16]
+   over the flattened range, so an odd-length fragment mid-chain is handled
    without any copy. *)
 let peek_sum t ~off ~len =
   let vs = views t ~off ~len in

@@ -32,8 +32,9 @@ val peek : t -> off:int -> len:int -> Mbuf.t
 
 val peek_sum : t -> off:int -> len:int -> Mbuf.t * int
 (** [peek] plus the unfolded 16-bit one's-complement partial sum of the
-    range, composed across fragments (equal to [View.sum16] over the
-    flattened bytes, including odd-length fragment boundaries). *)
+    range, composed across fragments (once folded, equal to
+    [View.sum16] over the flattened bytes, including odd-length fragment
+    boundaries). *)
 
 val drop : t -> int -> unit
 (** Consume [n] bytes from the front, firing the release of every slot

@@ -52,40 +52,33 @@ let blit src soff dst doff len =
   check dst doff len "blit(dst)";
   Bytes.blit src.buffer (src.off + soff) dst.buffer (dst.off + doff) len
 
-(* One's-complement partial sum of [len] bytes at [off], big-endian
-   16-bit words, two bytes per iteration (the "word-at-a-time" loop the
-   paper's fused copy/checksum discussion assumes).  The sum is
-   un-complemented and unfolded; an odd trailing byte counts as the high
-   byte of a final zero-padded word. *)
+(* One's-complement partial sum of [len] bytes at [off]: big-endian
+   32-bit words, four bytes per iteration, then 0-3 trailing bytes.
+   Since 2^16 = 1 (mod 0xffff) a 32-bit word adds the same as its two
+   16-bit halves once carries are folded, and the sum is zero only when
+   every byte is, so the folded result equals the 16-bit word sum the
+   checksum is defined by.  The sum is un-complemented and unfolded; an
+   odd trailing byte counts as the high byte of a final zero-padded
+   16-bit word. *)
 let sum16 t off len =
   check t off len "sum16";
   let b = t.buffer and base = t.off + off in
   let acc = ref 0 in
-  let words = len / 2 in
+  let words = len / 4 in
   for i = 0 to words - 1 do
-    acc := !acc + Bytes.get_uint16_be b (base + (2 * i))
+    acc := !acc + (Int32.to_int (Bytes.get_int32_be b (base + (4 * i))) land 0xffffffff)
   done;
-  if len land 1 = 1 then acc := !acc + (Char.code (Bytes.get b (base + len - 1)) lsl 8);
+  let pos = base + (4 * words) in
+  (match len land 3 with
+  | 0 -> ()
+  | 1 -> acc := !acc + (Char.code (Bytes.get b pos) lsl 8)
+  | 2 -> acc := !acc + Bytes.get_uint16_be b pos
+  | _ -> acc := !acc + Bytes.get_uint16_be b pos + (Char.code (Bytes.get b (pos + 2)) lsl 8));
   !acc
 
 let blit_sum src soff dst doff len =
-  check src soff len "blit_sum(src)";
-  check dst doff len "blit_sum(dst)";
-  let sb = src.buffer and sbase = src.off + soff in
-  let db = dst.buffer and dbase = dst.off + doff in
-  let acc = ref 0 in
-  let words = len / 2 in
-  for i = 0 to words - 1 do
-    let w = Bytes.get_uint16_be sb (sbase + (2 * i)) in
-    Bytes.set_uint16_be db (dbase + (2 * i)) w;
-    acc := !acc + w
-  done;
-  if len land 1 = 1 then begin
-    let c = Bytes.get sb (sbase + len - 1) in
-    Bytes.set db (dbase + len - 1) c;
-    acc := !acc + (Char.code c lsl 8)
-  end;
-  !acc
+  blit src soff dst doff len;
+  sum16 dst doff len
 
 let blit_from_string s soff dst doff len =
   if soff < 0 || soff + len > String.length s then
@@ -95,7 +88,7 @@ let blit_from_string s soff dst doff len =
 
 let fill t c = Bytes.fill t.buffer t.off t.len c
 let to_string t = Bytes.sub_string t.buffer t.off t.len
-let copy t = of_string (to_string t)
+let copy t = of_bytes (Bytes.sub t.buffer t.off t.len)
 
 let concat vs =
   let total = List.fold_left (fun acc v -> acc + v.len) 0 vs in

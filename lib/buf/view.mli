@@ -45,15 +45,17 @@ val blit : t -> int -> t -> int -> int -> unit
 
 val sum16 : t -> int -> int -> int
 (** [sum16 v off len] is the un-complemented Internet-checksum partial
-    sum of bytes [off, off+len): big-endian 16-bit words read two bytes
-    at a time, an odd trailing byte padded as the high byte of a final
-    word.  Carries are not folded (finish with {!Uln_proto.Checksum}-
-    style folding). *)
+    sum of bytes [off, off+len): big-endian 16-bit words, an odd
+    trailing byte padded as the high byte of a final word.  The bytes
+    are read four at a time, so the unfolded value may differ from the
+    plain 16-bit word sum, but it is congruent to it modulo 0xffff and
+    zero exactly when it is: once carries are folded (finish with
+    {!Uln_proto.Checksum}-style folding) the two are equal. *)
 
 val blit_sum : t -> int -> t -> int -> int -> int
-(** [blit_sum src soff dst doff len] is {!blit} fused with {!sum16}: one
-    pass copies the bytes and returns their partial sum — the combined
-    copy-and-checksum primitive of the data path. *)
+(** [blit_sum src soff dst doff len] is {!blit} followed by {!sum16} on
+    the copied bytes: the combined copy-and-checksum primitive of the
+    data path. *)
 
 val blit_from_string : string -> int -> t -> int -> int -> unit
 val fill : t -> char -> unit

@@ -1,9 +1,10 @@
-(** Pairing heap with integer keys and FIFO tie-breaking.
+(** Binary min-heap with integer keys and FIFO tie-breaking.
 
-    Used as the simulator's event queue: O(1) insert, amortised
-    O(log n) delete-min.  Entries with equal keys pop in insertion order
+    Used as the simulator's event queue: O(log n) insert and delete-min
+    over flat arrays, allocating no per-entry node.  Entries are ordered
+    by [(key, seq)], so entries with equal keys pop in insertion order
     (by the caller-supplied sequence number), which keeps simulations
-    deterministic. *)
+    deterministic.  A popped value is not kept reachable by the heap. *)
 
 type 'a t
 

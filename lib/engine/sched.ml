@@ -40,17 +40,24 @@ let suspend register = Effect.perform (Suspend register)
 
 let current_name t = t.current
 
-(* Runs [thunk] with the scheduler's current-thread label set to [name],
+(* Runs [thunk] with the scheduler's current-thread label set to [label],
    restoring the previous label on exit.  Everything is cooperative, so a
    single mutable field suffices; continuations re-enter through here so
    the label is accurate across suspension points (the lock-order
    sanitizer keys its held-lock stacks on it). *)
-let run_as t name thunk =
+let run_as t label thunk =
   let saved = t.current in
-  t.current <- Some name;
-  Fun.protect ~finally:(fun () -> t.current <- saved) thunk
+  t.current <- label;
+  match thunk () with
+  | v ->
+      t.current <- saved;
+      v
+  | exception e ->
+      t.current <- saved;
+      raise e
 
 let spawn t ?(name = "thread") f =
+  let label = Some name in
   let body () =
     let open Effect.Deep in
     match_with f ()
@@ -70,13 +77,13 @@ let spawn t ?(name = "thread") f =
                     let wake () =
                       if not !fired then begin
                         fired := true;
-                        Queue.push (fun () -> run_as t name (fun () -> continue k ())) t.runq
+                        Queue.push (fun () -> run_as t label (fun () -> continue k ())) t.runq
                       end
                     in
                     register wake)
             | _ -> None) }
   in
-  Queue.push (fun () -> run_as t name body) t.runq
+  Queue.push (fun () -> run_as t label body) t.runq
 
 let sleep t d = suspend (fun wake -> after t d wake)
 let yield t = suspend (fun wake -> Queue.push wake t.runq)

@@ -22,8 +22,10 @@ let header_size = 14
 let header_bytes t =
   let v = View.create header_size in
   let put_mac off mac =
-    let o = Mac.to_octets mac in
-    Array.iteri (fun i b -> View.set_uint8 v (off + i) b) o
+    let m = Mac.to_int mac in
+    View.set_uint16 v off (m lsr 32);
+    View.set_uint16 v (off + 2) (m lsr 16);
+    View.set_uint16 v (off + 4) m
   in
   put_mac 0 t.dst;
   put_mac 6 t.src;

@@ -16,7 +16,7 @@ let partial_bytes acc odd v =
   done;
   (!acc, !odd)
 
-(* Word-at-a-time: two bytes per iteration via [View.sum16].  When the
+(* Word-at-a-time: four bytes per iteration via [View.sum16].  When the
    running parity is odd the first byte completes the previous word (it
    is a low byte); the rest starts word-aligned. *)
 let partial acc odd v =

@@ -12,7 +12,7 @@ val of_mbuf : ?init:int -> Uln_buf.Mbuf.t -> int
 val partial : int -> bool -> Uln_buf.View.t -> int * bool
 (** [partial acc odd v] extends a running (un-complemented) sum; [odd]
     says whether an odd number of bytes has been consumed so far.
-    Finish with {!finish}.  Word-at-a-time (two bytes per iteration via
+    Finish with {!finish}.  Word-at-a-time (four bytes per iteration via
     {!Uln_buf.View.sum16}). *)
 
 val partial_bytes : int -> bool -> Uln_buf.View.t -> int * bool

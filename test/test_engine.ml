@@ -24,7 +24,7 @@ let test_time_units () =
 let test_time_round_trip () =
   Alcotest.(check (float 1e-6)) "us round trip" 123.456 (Time.to_us_f (Time.of_us_f 123.456))
 
-(* --- pairing heap ---------------------------------------------------- *)
+(* --- event heap ------------------------------------------------------ *)
 
 let test_pheap_order () =
   let h = Pheap.create () in
@@ -66,6 +66,77 @@ let prop_pheap_sorts =
         match Pheap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
       in
       drain [] = List.sort compare keys)
+
+(* Differential against a sorted-list model over random interleavings of
+   inserts and pops.  Keys come from a range of 8 so ties are common;
+   each value is its insertion sequence number, so a pop that breaks a
+   tie out of FIFO order returns the wrong value.  Simulation runs are
+   byte-identical only because equal-key events fire in insertion
+   order. *)
+let prop_pheap_model =
+  QCheck.Test.make ~name:"pheap = sorted-list model under interleaved insert/pop"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (int_bound 11))
+    (fun ops ->
+      let h = Pheap.create () in
+      (* The model: (key, seq) pairs in pop order. *)
+      let model = ref [] in
+      let seq = ref 0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          if op < 8 then begin
+            incr seq;
+            Pheap.insert h ~key:op ~seq:!seq !seq;
+            model := List.merge compare !model [ (op, !seq) ]
+          end
+          else begin
+            let got = Pheap.pop h in
+            match !model with
+            | [] -> expect (got = None)
+            | (k, s) :: rest ->
+                expect (got = Some (k, s));
+                model := rest
+          end;
+          expect (Pheap.size h = List.length !model);
+          expect (Pheap.is_empty h = (!model = []));
+          expect (Pheap.min_key h = match !model with [] -> None | (k, _) :: _ -> Some k))
+        ops;
+      !ok)
+
+(* A popped event must not stay reachable from the heap: every event
+   closure holds a suspended thread's continuation, so a stale slot would
+   keep a whole thread stack alive.  The tracked value is reachable only
+   through the heap and a weak pointer; the helpers are not inlined so no
+   local of this frame keeps it alive. *)
+let[@inline never] insert_tracked h weak slot ~key ~seq =
+  let v = ref (Sys.opaque_identity key) in
+  Weak.set weak slot (Some v);
+  Pheap.insert h ~key ~seq v
+
+let[@inline never] pop_and_drop h = ignore (Sys.opaque_identity (Pheap.pop h))
+
+let test_pheap_no_retention () =
+  let h = Pheap.create () in
+  let weak = Weak.create 2 in
+  (* Popped while other entries remain. *)
+  insert_tracked h weak 0 ~key:1 ~seq:1;
+  List.iter (fun k -> Pheap.insert h ~key:k ~seq:(k + 10) (ref k)) [ 5; 6; 7; 8 ];
+  pop_and_drop h;
+  Gc.full_major ();
+  check_bool "popped value collected" false (Weak.check weak 0);
+  (* Popped as the last entry, leaving the heap empty. *)
+  for _ = 1 to 4 do
+    pop_and_drop h
+  done;
+  insert_tracked h weak 1 ~key:3 ~seq:20;
+  pop_and_drop h;
+  check_bool "heap emptied" true (Pheap.is_empty h);
+  Gc.full_major ();
+  check_bool "value popped from an emptied heap collected" false (Weak.check weak 1);
+  (* The heap itself must still be live when the weak slots are read. *)
+  check "heap reusable" 0 (Pheap.size (Sys.opaque_identity h))
 
 (* --- scheduler -------------------------------------------------------- *)
 
@@ -331,7 +402,9 @@ let () =
       ( "pheap",
         [ Alcotest.test_case "sorted pops" `Quick test_pheap_order;
           Alcotest.test_case "fifo ties" `Quick test_pheap_fifo_ties;
-          qc prop_pheap_sorts ] );
+          qc prop_pheap_sorts;
+          qc prop_pheap_model;
+          Alcotest.test_case "no retention of popped events" `Quick test_pheap_no_retention ] );
       ( "sched",
         [ Alcotest.test_case "event order" `Quick test_event_order;
           Alcotest.test_case "clock advances" `Quick test_clock_advances;

@@ -48,17 +48,92 @@ let prop_of_mbuf_matches_reference =
       done;
       Checksum.of_mbuf !m = Checksum.reference_of_mbuf !m)
 
+(* A view of [len] bytes starting [off] bytes into a larger backing
+   store, the bytes around it random too.  The byte pattern is random, all
+   zero or all 0xff: the word kernels must get the one's-complement zero
+   cases right as well. *)
+let window rng ~off len =
+  let fill =
+    match Rng.int rng 4 with
+    | 0 -> Some 0
+    | 1 -> Some 0xff
+    | _ -> None
+  in
+  let back = View.create (off + len + Rng.int rng 8) in
+  for i = 0 to View.length back - 1 do
+    View.set_uint8 back i (match fill with Some b -> b | None -> Rng.int rng 256)
+  done;
+  View.sub back off len
+
+(* Lengths [4q + r] for every residue [r]: the word kernels read four
+   bytes at a time and end with 0-3 trailing bytes. *)
+let each_residue rng f =
+  List.for_all (fun r -> f ((4 * Rng.int rng 80) + r)) [ 0; 1; 2; 3 ]
+
 let prop_blit_sum =
   QCheck.Test.make ~name:"blit_sum copies exactly and sums like the reference" ~count:200
     QCheck.(1 -- 1_000_000)
     (fun seed ->
       let rng = Rng.create ~seed in
-      let len = Rng.int rng 301 in
-      let src = random_view rng len in
-      let dst = View.create len in
-      let sum = View.blit_sum src 0 dst 0 len in
-      String.equal (View.to_string src) (View.to_string dst)
-      && Checksum.finish sum = Checksum.reference_of_view src)
+      each_residue rng (fun len ->
+          let src = window rng ~off:(Rng.int rng 8) len in
+          let dst = window rng ~off:(Rng.int rng 8) (len + 8) in
+          let doff = Rng.int rng 8 in
+          let before = View.to_string dst in
+          let sum = View.blit_sum src 0 dst doff len in
+          let after = View.to_string dst in
+          String.equal (View.to_string src) (String.sub after doff len)
+          && String.equal (String.sub before 0 doff) (String.sub after 0 doff)
+          && String.equal
+               (String.sub before (doff + len) (8 - doff))
+               (String.sub after (doff + len) (8 - doff))
+          && Checksum.finish sum = Checksum.reference_of_view src))
+
+let prop_sum16_windows =
+  QCheck.Test.make ~name:"sum16 over sub-view windows = byte reference" ~count:200
+    QCheck.(1 -- 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      each_residue rng (fun len ->
+          let v = window rng ~off:(Rng.int rng 8) (len + 8) in
+          let off = Rng.int rng 8 in
+          let sum = View.sum16 v off len in
+          sum = View.sum16 (View.sub v off len) 0 len
+          && Checksum.finish sum = Checksum.reference_of_view (View.sub v off len)))
+
+let prop_bytequeue_sub_views =
+  QCheck.Test.make ~name:"Bytequeue push/peek/pop and View.copy of offset sub-views"
+    ~count:200
+    QCheck.(1 -- 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let q = Bytequeue.create ~capacity:16 () in
+      let pushed = Buffer.create 64 in
+      let ok = ref true in
+      for _ = 1 to 1 + Rng.int rng 6 do
+        let v = window rng ~off:(1 + Rng.int rng 7) (Rng.int rng 300) in
+        let copy = View.copy v in
+        if not (String.equal (View.to_string copy) (View.to_string v)) then ok := false;
+        (* The copy is detached from the backing store. *)
+        if View.length copy > 0 then begin
+          View.set_uint8 copy 0 (View.get_uint8 v 0 lxor 0xff);
+          if View.get_uint8 copy 0 = View.get_uint8 v 0 then ok := false
+        end;
+        Bytequeue.push q v;
+        Buffer.add_string pushed (View.to_string v)
+      done;
+      let all = Buffer.contents pushed in
+      let avail = Bytequeue.length q in
+      let off = Rng.int rng (avail + 1) in
+      let len = Rng.int rng (avail - off + 1) in
+      let peeked = View.to_string (Bytequeue.peek q ~off ~len) in
+      let n = Rng.int rng (avail + 1) in
+      let popped = View.to_string (Bytequeue.pop q n) in
+      !ok
+      && avail = String.length all
+      && String.equal peeked (String.sub all off len)
+      && String.equal popped (String.sub all 0 n)
+      && Bytequeue.length q = avail - n)
 
 let prop_peek_sum =
   QCheck.Test.make ~name:"Bytequeue.peek_sum = peek + separate sum" ~count:200
@@ -594,7 +669,9 @@ let () =
         [ qc prop_of_view_matches_reference;
           qc prop_of_mbuf_matches_reference;
           qc prop_blit_sum;
+          qc prop_sum16_windows;
           qc prop_peek_sum;
+          qc prop_bytequeue_sub_views;
           qc prop_encode_with_payload_sum ] );
       ( "hier-index",
         [ qc prop_index_matches_scan;
